@@ -58,10 +58,8 @@ Value StreamAcceptor::PushReply(const InChannel& channel) const {
 }
 
 void StreamAcceptor::RecordDepth(const InChannel& channel) const {
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("acceptor", owner_.uid(), Depth(channel));
-  }
-  owner_.kernel().ObserveQueueDepth("acceptor", owner_.uid(), Depth(channel));
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kAcceptor,
+                                    owner_.uid(), Depth(channel));
 }
 
 void StreamAcceptor::HandlePush(InvocationContext ctx) {
@@ -134,10 +132,7 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
     // already parked — joining behind them keeps releases FIFO). Withhold
     // the reply until the owner drains below lowat. Control pushes are
     // exempt: they must overtake data, not park behind it.
-    if (MetricsRegistry* m = owner_.kernel().metrics()) {
-      m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kHiwatHit);
-    }
-    owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
+    owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
                                      FlowEvent::kHiwatHit);
     ch->withheld.push_back(ctx.TakeReply());
     return;
@@ -190,10 +185,7 @@ Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
     taken.item = std::move(ch->control.front());
     ch->control.pop_front();
     if (!ch->buffer.empty()) {
-      if (MetricsRegistry* m = owner_.kernel().metrics()) {
-        m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kBandOvertake);
-      }
-      owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
+      owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
                                        FlowEvent::kBandOvertake);
     }
   } else {
@@ -227,10 +219,7 @@ Task<std::optional<Value>> StreamAcceptor::NextOnBand(std::string_view channel,
   }
   owner_.kernel().CountLocalStep();
   if (band == Band::kControl && !ch->buffer.empty()) {
-    if (MetricsRegistry* m = owner_.kernel().metrics()) {
-      m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kBandOvertake);
-    }
-    owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
+    owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
                                      FlowEvent::kBandOvertake);
   }
   Value item = std::move(queue.front());
@@ -278,10 +267,7 @@ void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnPutBack(owner_.uid(), owner_.kernel().now(), 1, BandIndex(band));
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->CountFlowEvent("acceptor", owner_.uid(), FlowEvent::kPutBack);
-  }
-  owner_.kernel().ObserveFlowEvent("acceptor", owner_.uid(),
+  owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
                                    FlowEvent::kPutBack);
   RecordDepth(*ch);
 }

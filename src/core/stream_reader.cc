@@ -76,10 +76,8 @@ void StreamReader::Ingest(InvokeResult result) {
       status_ = Status(StatusCode::kEndOfStream);
     }
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("reader", owner_.uid(), buffer_.size());
-  }
-  owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kReader,
+                                    owner_.uid(), buffer_.size());
 }
 
 Task<void> StreamReader::FetchOnce() {
@@ -158,10 +156,8 @@ Task<std::optional<Value>> StreamReader::Next() {
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1);
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("reader", owner_.uid(), buffer_.size());
-  }
-  owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kReader,
+                                    owner_.uid(), buffer_.size());
   if (options_.lookahead > 0) {
     // Only the lookahead fetch process ever waits on room_; in inline mode
     // there is no such process and nothing to wake.
@@ -199,10 +195,8 @@ Task<ValueList> StreamReader::NextBatch() {
       mon->OnConsumed(owner_.uid(), owner_.kernel().now(), items.size());
     }
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("reader", owner_.uid(), buffer_.size());
-  }
-  owner_.kernel().ObserveQueueDepth("reader", owner_.uid(), buffer_.size());
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kReader,
+                                    owner_.uid(), buffer_.size());
   if (options_.lookahead > 0) {
     room_.NotifyAll();
   }

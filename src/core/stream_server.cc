@@ -53,10 +53,7 @@ bool StreamServer::WriteBlocked(OutChannel& channel) {
   if (depth >= channel.limits.hiwat) {
     if (!channel.flow_blocked) {
       channel.flow_blocked = true;
-      if (MetricsRegistry* m = owner_.kernel().metrics()) {
-        m->CountFlowEvent("server", owner_.uid(), FlowEvent::kHiwatHit);
-      }
-      owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
+      owner_.kernel().ObserveFlowEvent(StreamComponent::kServer, owner_.uid(),
                                        FlowEvent::kHiwatHit);
     }
     return true;
@@ -101,10 +98,8 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("server", owner_.uid(), Depth(*ch));
-  }
-  owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(*ch));
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kServer,
+                                    owner_.uid(), Depth(*ch));
   Pump(*ch);
 }
 
@@ -142,12 +137,10 @@ void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->CountFlowEvent("server", owner_.uid(), FlowEvent::kPutBack);
-    m->RecordQueueDepth("server", owner_.uid(), Depth(*ch));
-  }
-  owner_.kernel().ObserveFlowEvent("server", owner_.uid(), FlowEvent::kPutBack);
-  owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(*ch));
+  owner_.kernel().ObserveFlowEvent(StreamComponent::kServer,
+                                   owner_.uid(), FlowEvent::kPutBack);
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kServer,
+                                    owner_.uid(), Depth(*ch));
 }
 
 void StreamServer::Close(std::string_view channel) {
@@ -271,13 +264,8 @@ void StreamServer::Pump(OutChannel& channel) {
       owner_.kernel().stats().redeliveries++;
     }
     if (overtakes > 0) {
-      if (MetricsRegistry* m = owner_.kernel().metrics()) {
-        for (size_t n = overtakes; n > 0; --n) {
-          m->CountFlowEvent("server", owner_.uid(), FlowEvent::kBandOvertake);
-        }
-      }
       for (; overtakes > 0; --overtakes) {
-        owner_.kernel().ObserveFlowEvent("server", owner_.uid(),
+        owner_.kernel().ObserveFlowEvent(StreamComponent::kServer, owner_.uid(),
                                          FlowEvent::kBandOvertake);
       }
     }
@@ -285,10 +273,8 @@ void StreamServer::Pump(OutChannel& channel) {
                             ? MakeBatchReply(std::move(items), end, first)
                             : MakeBatchReply(std::move(items), end));
   }
-  if (MetricsRegistry* m = owner_.kernel().metrics()) {
-    m->RecordQueueDepth("server", owner_.uid(), Depth(channel));
-  }
-  owner_.kernel().ObserveQueueDepth("server", owner_.uid(), Depth(channel));
+  owner_.kernel().ObserveQueueDepth(StreamComponent::kServer,
+                                    owner_.uid(), Depth(channel));
   // Back-enable the producer under the lowat rule: closed channels and
   // parked demand always release; a watermarked channel releases only once
   // drained below lowat (clearing the hysteresis latch). Deferred service

@@ -151,9 +151,7 @@ void SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
 // ---------------------------------------------------------------------- Kernel
 
 Kernel::Kernel(KernelOptions options) : options_(options) {
-  if (options_.shards < 1) {
-    options_.shards = 1;
-  }
+  options_.shards = std::clamp(options_.shards, 1, kMaxShards);
   node_names_.push_back("node0");
   shard_hints_.push_back(-1);
   books_.emplace_back(UidStreamSeed(options_.uid_seed, kNoNode));  // the driver
@@ -189,8 +187,8 @@ NodeId Kernel::AddNode(std::string name, int shard_hint) {
 }
 
 bool Kernel::set_shards(int shards) {
-  if (shards < 1 || parallel_active_.load(std::memory_order_relaxed) ||
-      !quiescent()) {
+  if (shards < 1 || shards > kMaxShards ||
+      parallel_active_.load(std::memory_order_relaxed) || !quiescent()) {
     return false;
   }
   if (shards == shard_count()) {
@@ -580,9 +578,8 @@ void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op
     // Activation: the kernel reconstructs the Eject from its passive
     // representation, then delivers (paper §1).
     ScheduleOn(target_node, now() + options_.costs.activation,
-               [this, id, target, op = std::move(op), args = std::move(args)]() mutable {
-                 ActivateThenDispatch(id, ReplyRoute{}, std::move(op), std::move(args));
-                 (void)target;
+               [this, id, op = std::move(op), args = std::move(args)]() mutable {
+                 ActivateThenDispatch(id, std::move(op), std::move(args));
                });
     return;
   }
@@ -592,8 +589,7 @@ void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op
             Value());
 }
 
-void Kernel::ActivateThenDispatch(InvocationId id, ReplyRoute /*unused*/,
-                                  std::string op, Value args) {
+void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Value args) {
   // Running on the target's shard; the parked route tells us whether anyone
   // still cares (a same-node deadline clears it along with the wait).
   Shard& shard = *tls_ctx_.shard;
@@ -623,8 +619,12 @@ void Kernel::ActivateThenDispatch(InvocationId id, ReplyRoute /*unused*/,
     }
     // Re-bind the stored identity: the reactivated instance *is* the old
     // Eject, so it keeps the old UID (a fresh one was allocated by the base
-    // constructor; release it).
+    // constructor; release it and its home entry).
     shard.epochs.erase(fresh->uid_);
+    {
+      std::unique_lock<std::shared_mutex> lock(homes_mu_);
+      home_nodes_.erase(fresh->uid_);
+    }
     fresh->uid_ = target;
     fresh->node_ = rep->home_node;
     if (shard.epochs.find(target) == shard.epochs.end()) {
@@ -756,7 +756,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
   // virtual-time arrival order — identical at every shard count.
   ScheduleOn(route.caller_node, now() + cost,
              [this, id, status = std::move(status), result = std::move(result)]() mutable {
-               DeliverRemoteReply(id, std::move(status), std::move(result), 0);
+               DeliverRemoteReply(id, std::move(status), std::move(result));
              });
 }
 
@@ -779,8 +779,7 @@ void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Value result) {
   tls_ctx_.span = prev;
 }
 
-void Kernel::DeliverRemoteReply(InvocationId id, Status status, Value result,
-                                InvocationId /*unused*/) {
+void Kernel::DeliverRemoteReply(InvocationId id, Status status, Value result) {
   // Running on the caller's shard.
   Shard& shard = *tls_ctx_.shard;
   auto it = shard.waits.find(id);
@@ -917,7 +916,12 @@ void Kernel::ExecuteEvent(Shard& shard, int shard_index,
                           EventQueue::PoppedEvent event, bool parallel) {
   assert(event.key.at >= shard.clock.now() && "virtual time must be monotone");
   shard.clock.AdvanceTo(event.key.at);
+  ExecContext saved = tls_ctx_;
+  tls_ctx_ = ExecContext{this, &shard, shard_index, event.exec,
+                         0,    event.key, 0,        parallel};
   if (auditor_ != nullptr) {
+    // Inside the event's context, so a breach it reports is ordered with
+    // the event's own observations.
     auditor_->OnEventCommit(shard_index, event.key, parallel);
   }
   shard.counters.events_processed++;
@@ -926,9 +930,6 @@ void Kernel::ExecuteEvent(Shard& shard, int shard_index,
   } else {
     stats_.events_processed.fetch_add(1, std::memory_order_relaxed);
   }
-  ExecContext saved = tls_ctx_;
-  tls_ctx_ = ExecContext{this, &shard, shard_index, event.exec,
-                         0,    event.key, 0,        parallel};
   event.action();
   tls_ctx_ = saved;
 }
@@ -1105,7 +1106,7 @@ bool Kernel::RunSharded(const std::function<bool()>& done, uint64_t max_events) 
 
   // Runs in exactly one thread per window, with every worker parked at the
   // barrier: the only place where cross-shard state is touched together.
-  auto completion = [&] {
+  auto window_top = [&] {
     FlushObservations();
     uint64_t batch = 0;
     Tick t_min = kTickMax;
@@ -1145,6 +1146,13 @@ bool Kernel::RunSharded(const std::function<bool()>& done, uint64_t max_events) 
     // windows that led up to it.
     FlightRecorder::Instance().Record(t_min, control.window_end, batch,
                                       workers);
+  };
+  // The barrier runs in the driver's context (shard 0, outside any event),
+  // so the observers the merge feeds record and emit directly.
+  auto completion = [&] {
+    ExecContext worker_ctx = std::exchange(tls_ctx_, ExecContext{});
+    window_top();
+    tls_ctx_ = worker_ctx;
   };
 
   // Read once: the profiler must not be (un)installed mid-run, and a local
@@ -1218,13 +1226,34 @@ void Kernel::PublishShardMetrics() {
 
 // ----------------------------------------------------------------- observation
 
+Kernel::ObsRecord* Kernel::BufferRecord(ObsRecord::Kind kind) {
+  if (!(OnOwnContext() && tls_ctx_.parallel)) {
+    return nullptr;
+  }
+  ObsRecord& record = tls_ctx_.shard->observations.emplace_back();
+  record.key = tls_ctx_.event_key;
+  record.sub = tls_ctx_.obs_sub++;
+  record.kind = kind;
+  return &record;
+}
+
 void Kernel::Observe(const TraceEvent& event) {
-  if (OnOwnContext() && tls_ctx_.parallel) {
-    ObsRecord record;
-    record.key = tls_ctx_.event_key;
-    record.sub = tls_ctx_.obs_sub++;
-    record.event = event;
-    tls_ctx_.shard->observations.push_back(std::move(record));
+  if (ObsRecord* record = BufferRecord(ObsRecord::Kind::kTrace)) {
+    record->code = static_cast<uint8_t>(event.kind);
+    record->ok = event.ok;
+    record->at = event.at;
+    record->from = event.from;
+    record->to = event.to;
+    record->id = event.id;
+    record->parent = event.parent;
+    if (!event.op.empty()) {
+      std::set<std::string, std::less<>>& names = tls_ctx_.shard->op_names;
+      auto it = names.find(event.op);
+      if (it == names.end()) {
+        it = names.insert(event.op).first;
+      }
+      record->op = &*it;
+    }
     return;
   }
   if (tracer_) {
@@ -1238,90 +1267,154 @@ void Kernel::Observe(const TraceEvent& event) {
   }
 }
 
-void Kernel::ObserveQueueDepthSlow(std::string_view component, const Uid& owner,
+void Kernel::EmitInOrder(std::function<void()> emit) {
+  Kernel* kernel = tls_ctx_.kernel;
+  ObsRecord* record =
+      kernel != nullptr ? kernel->BufferRecord(ObsRecord::Kind::kDeferred) : nullptr;
+  if (record == nullptr) {
+    emit();
+    return;
+  }
+  std::vector<std::function<void()>>& deferred = tls_ctx_.shard->deferred;
+  record->value = deferred.size();
+  deferred.push_back(std::move(emit));
+}
+
+void Kernel::ObserveQueueDepthSlow(StreamComponent component, const Uid& owner,
                                    size_t depth) {
-  if (OnOwnContext() && tls_ctx_.parallel) {
-    ObsRecord record;
-    record.key = tls_ctx_.event_key;
-    record.sub = tls_ctx_.obs_sub++;
-    record.kind = ObsRecord::Kind::kQueueDepth;
-    record.component = std::string(component);
-    record.owner = owner;
-    record.at = now();
-    record.value = depth;
-    tls_ctx_.shard->observations.push_back(std::move(record));
+  if (metrics_ != nullptr) {
+    metrics_->RecordQueueDepth(component, owner, depth);
+  }
+  if (telemetry_ == nullptr) {
+    return;
+  }
+  if (ObsRecord* record = BufferRecord(ObsRecord::Kind::kQueueDepth)) {
+    record->code = static_cast<uint8_t>(component);
+    record->from = owner;
+    record->at = now();
+    record->value = depth;
     return;
   }
   telemetry_->OnQueueDepth(component, owner, now(), depth);
 }
 
-void Kernel::ObserveFlowEventSlow(std::string_view component, const Uid& owner,
+void Kernel::ObserveFlowEventSlow(StreamComponent component, const Uid& owner,
                                   FlowEvent event) {
-  if (OnOwnContext() && tls_ctx_.parallel) {
-    ObsRecord record;
-    record.key = tls_ctx_.event_key;
-    record.sub = tls_ctx_.obs_sub++;
-    record.kind = ObsRecord::Kind::kFlowEvent;
-    record.component = std::string(component);
-    record.owner = owner;
-    record.at = now();
-    record.value = static_cast<uint64_t>(event);
-    tls_ctx_.shard->observations.push_back(std::move(record));
+  if (metrics_ != nullptr) {
+    metrics_->CountFlowEvent(component, owner, event);
+  }
+  if (telemetry_ == nullptr) {
+    return;
+  }
+  if (ObsRecord* record = BufferRecord(ObsRecord::Kind::kFlowEvent)) {
+    record->code = static_cast<uint8_t>(component);
+    record->flow = static_cast<uint8_t>(event);
+    record->from = owner;
+    record->at = now();
     return;
   }
   telemetry_->OnFlowEvent(component, owner, now(), event);
 }
 
+void Kernel::DispatchRecord(const ObsRecord& record, Shard& shard, TraceEvent& scratch) {
+  switch (record.kind) {
+    case ObsRecord::Kind::kTrace:
+      scratch.kind = static_cast<TraceEvent::Kind>(record.code);
+      scratch.at = record.at;
+      scratch.from = record.from;
+      scratch.to = record.to;
+      if (record.op != nullptr) {
+        scratch.op = *record.op;
+      } else {
+        scratch.op.clear();
+      }
+      scratch.id = record.id;
+      scratch.parent = record.parent;
+      scratch.ok = record.ok;
+      if (tracer_) {
+        tracer_(scratch);
+      }
+      if (monitor_ != nullptr) {
+        monitor_->OnTraceEvent(scratch);
+      }
+      if (telemetry_ != nullptr) {
+        telemetry_->OnTraceEvent(scratch);
+      }
+      break;
+    case ObsRecord::Kind::kQueueDepth:
+      if (telemetry_ != nullptr) {
+        telemetry_->OnQueueDepth(static_cast<StreamComponent>(record.code),
+                                 record.from, record.at, record.value);
+      }
+      break;
+    case ObsRecord::Kind::kFlowEvent:
+      if (telemetry_ != nullptr) {
+        telemetry_->OnFlowEvent(static_cast<StreamComponent>(record.code),
+                                record.from, record.at,
+                                static_cast<FlowEvent>(record.flow));
+      }
+      break;
+    case ObsRecord::Kind::kDeferred:
+      shard.deferred[record.value]();
+      break;
+  }
+}
+
 void Kernel::FlushObservations() {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->observations.size();
-  }
-  if (total == 0) {
-    return;
-  }
-  std::vector<ObsRecord> merged;
-  merged.reserve(total);
+  // Each shard's buffer is a run in its own execution order, which is
+  // (event key, in-event ordinal) order (Aspnes's logical-clock
+  // linearisation), so the barrier merges the k runs instead of sorting
+  // them. Repeatedly taking the smallest head replays the order one shared
+  // queue would have popped the events in — also when a handler scheduled a
+  // same-tick event below its own key, which pops next on its shard — so
+  // the fan-out is byte-identical to a single-shard run at any width.
+  auto before = [](const ObsRecord& a, const ObsRecord& b) {
+    if (a.key < b.key) {
+      return true;
+    }
+    return !(b.key < a.key) && a.sub < b.sub;
+  };
+  struct Run {
+    Shard* shard;
+    const ObsRecord* next;
+    const ObsRecord* end;
+  };
+  std::vector<Run> runs;
+  runs.reserve(shards_.size());
   for (auto& shard : shards_) {
-    for (ObsRecord& record : shard->observations) {
-      merged.push_back(std::move(record));
+    const std::vector<ObsRecord>& buffer = shard->observations;
+    if (buffer.empty()) {
+      continue;
     }
-    shard->observations.clear();
+    runs.push_back(Run{shard.get(), buffer.data(), buffer.data() + buffer.size()});
   }
-  // (event key, in-event ordinal) reproduces the order a single-shard run
-  // would have fanned these out in — byte-identical traces at any width.
-  std::sort(merged.begin(), merged.end(), [](const ObsRecord& a, const ObsRecord& b) {
-    if (!(a.key < b.key) && !(b.key < a.key)) {
-      return a.sub < b.sub;
+  TraceEvent scratch;
+  while (!runs.empty()) {
+    // Drain the run with the smallest head up to the smallest other head.
+    size_t min = 0;
+    for (size_t i = 1; i < runs.size(); ++i) {
+      if (before(*runs[i].next, *runs[min].next)) {
+        min = i;
+      }
     }
-    return a.key < b.key;
-  });
-  for (const ObsRecord& record : merged) {
-    switch (record.kind) {
-      case ObsRecord::Kind::kTrace:
-        if (tracer_) {
-          tracer_(record.event);
-        }
-        if (monitor_ != nullptr) {
-          monitor_->OnTraceEvent(record.event);
-        }
-        if (telemetry_ != nullptr) {
-          telemetry_->OnTraceEvent(record.event);
-        }
-        break;
-      case ObsRecord::Kind::kQueueDepth:
-        if (telemetry_ != nullptr) {
-          telemetry_->OnQueueDepth(record.component, record.owner, record.at,
-                                   record.value);
-        }
-        break;
-      case ObsRecord::Kind::kFlowEvent:
-        if (telemetry_ != nullptr) {
-          telemetry_->OnFlowEvent(record.component, record.owner, record.at,
-                                  static_cast<FlowEvent>(record.value));
-        }
-        break;
+    const ObsRecord* bound = nullptr;
+    for (size_t i = 0; i < runs.size(); ++i) {
+      if (i != min && (bound == nullptr || before(*runs[i].next, *bound))) {
+        bound = runs[i].next;
+      }
     }
+    Run& run = runs[min];
+    do {
+      DispatchRecord(*run.next, *run.shard, scratch);
+      ++run.next;
+    } while (run.next != run.end && (bound == nullptr || before(*run.next, *bound)));
+    if (run.next == run.end) {
+      runs.erase(runs.begin() + static_cast<std::ptrdiff_t>(min));
+    }
+  }
+  for (auto& shard : shards_) {
+    shard->observations.clear();
+    shard->deferred.clear();
   }
 }
 

@@ -38,6 +38,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <shared_mutex>
 #include <string>
 #include <string_view>
@@ -50,6 +51,7 @@
 #include "src/eden/event_queue.h"
 #include "src/eden/lock_observer.h"
 #include "src/eden/message.h"
+#include "src/eden/per_shard.h"
 #include "src/eden/stable_store.h"
 #include "src/eden/stats.h"
 #include "src/eden/status.h"
@@ -69,7 +71,8 @@ class MetricsRegistry;
 class ShardAuditor;
 class ShardProfiler;
 class TelemetrySampler;
-enum class FlowEvent : uint8_t;  // metrics.h; fixed underlying type
+enum class FlowEvent : uint8_t;        // metrics.h; fixed underlying type
+enum class StreamComponent : uint8_t;  // metrics.h; fixed underlying type
 
 // Move-only capability to reply (once) to a delivered invocation. Handlers
 // may reply inline, or stash the handle and reply later — stashing is how
@@ -184,11 +187,12 @@ class [[nodiscard]] SleepAwaiter {
 struct KernelOptions {
   CostModel costs;
   uint64_t uid_seed = 0xEDE11EDE11EDE11EULL;
-  // Worker shards. Node k lives on shard k % shards (the external driver on
-  // shard 0). 1 = the classic single-threaded event loop. Run/RunUntil go
-  // parallel when shards > 1, the lookahead is positive, and no fault
-  // injector is installed; Step/RunFor always execute sequentially (and
-  // still produce the identical event order).
+  // Worker shards, 1..kMaxShards (per_shard.h). Node k lives on shard
+  // k % shards (the external driver on shard 0). 1 = the classic
+  // single-threaded event loop. Run/RunUntil go parallel when shards > 1,
+  // the lookahead is positive, and no fault injector is installed;
+  // Step/RunFor always execute sequentially (and still produce the
+  // identical event order).
   int shards = 1;
   // Conservative-synchronization lookahead in ticks. 0 derives the safe
   // default, costs.invocation_send — the smallest delay any cross-shard
@@ -237,8 +241,9 @@ class Kernel {
     }
     return static_cast<int>(node % static_cast<NodeId>(shards_.size()));
   }
-  // Re-partitions the kernel across `shards` workers. Requires quiescence
-  // (no scheduled events); returns false and changes nothing otherwise.
+  // Re-partitions the kernel across `shards` workers (1..kMaxShards).
+  // Requires quiescence (no scheduled events); returns false and changes
+  // nothing otherwise.
   bool set_shards(int shards);
   // Per-shard counters from the most recent run (index = shard).
   std::vector<ShardCounters> shard_counters() const;
@@ -313,7 +318,10 @@ class Kernel {
   // Optional metrics (nullptr = none, the default; the recording sites cost
   // one pointer test, mirroring the unset-tracer fast path). Not owned; must
   // outlive the run. See src/eden/metrics.h.
-  void set_metrics(MetricsRegistry* metrics) { metrics_ = metrics; }
+  void set_metrics(MetricsRegistry* metrics) {
+    metrics_ = metrics;
+    observe_streams_ = metrics_ != nullptr || telemetry_ != nullptr;
+  }
   MetricsRegistry* metrics() const { return metrics_; }
 
   // Optional invariant monitor (nullptr = none, the default; same
@@ -367,7 +375,10 @@ class Kernel {
   // single-threaded window barrier of a sharded run — so its windows,
   // sketches and JSON export are byte-identical at any shard count. Not
   // owned; must outlive the run. See src/eden/telemetry.h.
-  void set_telemetry(TelemetrySampler* telemetry) { telemetry_ = telemetry; }
+  void set_telemetry(TelemetrySampler* telemetry) {
+    telemetry_ = telemetry;
+    observe_streams_ = metrics_ != nullptr || telemetry_ != nullptr;
+  }
   TelemetrySampler* telemetry() const { return telemetry_; }
 
   // Optional determinism auditor (nullptr = none, the default; the feed
@@ -381,22 +392,36 @@ class Kernel {
   void set_auditor(ShardAuditor* auditor) { auditor_ = auditor; }
   ShardAuditor* auditor() const { return auditor_; }
 
-  // Telemetry feed from the stream primitives: a queue-depth sample, or a
-  // flow-control incident (FlowEvent, metrics.h). Stamped with now() and
-  // routed through the same deterministic observation merge as trace events.
-  // One pointer test when no sampler is installed.
-  void ObserveQueueDepth(std::string_view component, const Uid& owner,
+  // The stream primitives' one report of a queue-depth sample or a
+  // flow-control incident (FlowEvent, metrics.h). It feeds the metrics
+  // registry at once (its per-shard slot, no lock) and the telemetry sampler
+  // through the ordered observation merge, stamped with now(). One inline
+  // flag test while neither instrument is installed.
+  void ObserveQueueDepth(StreamComponent component, const Uid& owner,
                          size_t depth) {
-    if (telemetry_ != nullptr) {
+    if (observe_streams_) {
       ObserveQueueDepthSlow(component, owner, depth);
     }
   }
-  void ObserveFlowEvent(std::string_view component, const Uid& owner,
+  void ObserveFlowEvent(StreamComponent component, const Uid& owner,
                         FlowEvent event) {
-    if (telemetry_ != nullptr) {
+    if (observe_streams_) {
       ObserveFlowEventSlow(component, owner, event);
     }
   }
+
+  // ---- Per-shard observers (per_shard.h).
+  // The shard the calling thread executes for: the running shard inside an
+  // event (and a parallel worker's own shard for its whole life), 0 on the
+  // driver thread and in the window barrier. Commutative observers index
+  // their lock-free PerShard slots with it.
+  static int ExecutingShard() { return tls_ctx_.shard_index; }
+  // Order-sensitive output of a per-shard observer (a violation's report
+  // and trace line). Inside a parallel event, `emit` is queued at the
+  // event's place in the observation stream and runs at the window barrier,
+  // in the order a 1-shard run would have run it; anywhere else it runs at
+  // once. Either way it runs single-threaded.
+  static void EmitInOrder(std::function<void()> emit);
 
   // Optional fault injection (nullptr = perfectly reliable medium). The
   // injector only perturbs inter-Eject traffic; messages to or from the
@@ -485,17 +510,25 @@ class Kernel {
   // A buffered observation: (event key, in-event ordinal) reproduces the
   // sequential fan-out order exactly when shards merge their buffers. Trace
   // events fan out to tracer/monitor/telemetry; queue-depth and flow-event
-  // records (payload in component/owner/at/value) feed telemetry only.
+  // records feed telemetry only; a deferred record runs the shard's
+  // `deferred[value]` (EmitInOrder). Plain data, no owned strings: the op
+  // name points into the shard's interned `op_names`.
   struct ObsRecord {
-    enum class Kind : uint8_t { kTrace, kQueueDepth, kFlowEvent };
+    enum class Kind : uint8_t { kTrace, kQueueDepth, kFlowEvent, kDeferred };
     EventKey key;
     uint32_t sub = 0;
     Kind kind = Kind::kTrace;
-    TraceEvent event;
-    std::string component;
-    Uid owner;
+    // kTrace: TraceEvent::Kind. kQueueDepth/kFlowEvent: StreamComponent.
+    uint8_t code = 0;
+    uint8_t flow = 0;  // kFlowEvent: FlowEvent
+    bool ok = true;
     Tick at = 0;
-    uint64_t value = 0;
+    Uid from;  // the queue owner for kQueueDepth/kFlowEvent
+    Uid to;
+    InvocationId id = 0;
+    InvocationId parent = 0;
+    uint64_t value = 0;  // queue depth, or index into `deferred`
+    const std::string* op = nullptr;
   };
 
   // Per-node deterministic sequence state. Only the owning node's shard
@@ -519,8 +552,10 @@ class Kernel {
     std::vector<MailItem> mailbox;
     // Per-target staging, flushed (one lock per target) at window end.
     std::vector<std::vector<MailItem>> outbox;
-    // Trace/monitor observations buffered during parallel execution.
+    // Observations buffered during parallel execution, in execution order.
     std::vector<ObsRecord> observations;
+    std::vector<std::function<void()>> deferred;  // EmitInOrder callbacks
+    std::set<std::string, std::less<>> op_names;  // interned ObsRecord::op
     Tick published_next = 0;  // earliest local event time, set at the barrier
     ShardCounters counters;
     uint64_t batched_events = 0;  // events_processed, flushed per window
@@ -563,25 +598,27 @@ class Kernel {
   void DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
                          Value args);
   void DispatchTo(Eject& eject, InvocationId id, std::string op, Value args);
-  void ActivateThenDispatch(InvocationId id, ReplyRoute route, std::string op,
-                            Value args);
+  void ActivateThenDispatch(InvocationId id, std::string op, Value args);
   void DeliverReplyToWait(WaitRecord wait, Status status, Value result);
-  void DeliverRemoteReply(InvocationId id, Status status, Value result,
-                          InvocationId parent);
+  void DeliverRemoteReply(InvocationId id, Status status, Value result);
   void FireDeadline(InvocationId id);
   void TearDown(const Uid& uid, bool is_crash);
   void FailDeliveredPendingFor(Shard& shard, const Uid& target);
-  // Fans a trace event out to the tracer and the invariant monitor (or, in a
-  // parallel phase, buffers it for the deterministic window merge). Callers
-  // gate on `observing()` so the unset fast path stays cheap.
+  // Fans a trace event out to the tracer, the invariant monitor and the
+  // telemetry sampler (or, in a parallel phase, buffers it for the
+  // deterministic window merge). Callers gate on `observing()` so the unset
+  // fast path stays cheap.
   bool observing() const {
     return tracer_ != nullptr || monitor_ != nullptr || telemetry_ != nullptr;
   }
   void Observe(const TraceEvent& event);
+  // The calling parallel event's next record, or null outside one.
+  ObsRecord* BufferRecord(ObsRecord::Kind kind);
   void FlushObservations();
-  void ObserveQueueDepthSlow(std::string_view component, const Uid& owner,
+  void DispatchRecord(const ObsRecord& record, Shard& shard, TraceEvent& scratch);
+  void ObserveQueueDepthSlow(StreamComponent component, const Uid& owner,
                              size_t depth);
-  void ObserveFlowEventSlow(std::string_view component, const Uid& owner,
+  void ObserveFlowEventSlow(StreamComponent component, const Uid& owner,
                             FlowEvent event);
 
   void ExecuteEvent(Shard& shard, int shard_index, EventQueue::PoppedEvent event,
@@ -614,6 +651,7 @@ class Kernel {
   ShardProfiler* profiler_ = nullptr;
   TelemetrySampler* telemetry_ = nullptr;
   ShardAuditor* auditor_ = nullptr;
+  bool observe_streams_ = false;  // metrics_ or telemetry_ installed
   // Per-node placement overrides (index = node id; -1 = round robin).
   std::vector<int> shard_hints_;
   std::atomic<uint64_t> last_lock_id_{0};

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "src/eden/json.h"
+#include "src/eden/kernel.h"
 
 namespace eden {
 
@@ -138,44 +139,148 @@ Value Log2Histogram::ToValue() const {
   return v;
 }
 
+const char* ComponentName(StreamComponent component) {
+  switch (component) {
+    case StreamComponent::kAcceptor: return "acceptor";
+    case StreamComponent::kPipe: return "pipe";
+    case StreamComponent::kReader: return "reader";
+    case StreamComponent::kServer: return "server";
+  }
+  return "?";
+}
+
+std::optional<StreamComponent> ParseComponent(std::string_view name) {
+  for (StreamComponent component :
+       {StreamComponent::kAcceptor, StreamComponent::kPipe,
+        StreamComponent::kReader, StreamComponent::kServer}) {
+    if (name == ComponentName(component)) {
+      return component;
+    }
+  }
+  return std::nullopt;
+}
+
+MetricsRegistry::ShardState& MetricsRegistry::Local() {
+  return shards_.At(Kernel::ExecutingShard());
+}
+
+void MetricsRegistry::RecordLatency(std::string_view op, uint64_t ticks) {
+  auto& latency = Local().latency;
+  auto it = latency.find(op);
+  if (it == latency.end()) {
+    it = latency.emplace(std::string(op), Log2Histogram()).first;
+  }
+  it->second.Record(ticks);
+}
+
+void MetricsRegistry::CountInvocation(const Uid& target) {
+  Local().invocations[target]++;
+}
+
+void MetricsRegistry::RecordQueueDepth(StreamComponent component,
+                                       const Uid& owner, size_t depth) {
+  QueueGauge& gauge = Local().queues[QueueKey{component, owner}];
+  gauge.depth = depth;
+  gauge.high_water = std::max(gauge.high_water, depth);
+  gauge.samples++;
+}
+
+void MetricsRegistry::CountFlowEvent(StreamComponent component,
+                                     const Uid& owner, FlowEvent event) {
+  FlowCounters& counters = Local().flow[QueueKey{component, owner}];
+  switch (event) {
+    case FlowEvent::kHiwatHit: counters.hiwat_hits++; break;
+    case FlowEvent::kPutBack: counters.putbacks++; break;
+    case FlowEvent::kBandOvertake: counters.band_overtakes++; break;
+  }
+}
+
+const MetricsRegistry::Merged& MetricsRegistry::Merge() const {
+  // Reset in place, then fold every slot in shard order: entries are never
+  // erased (slot keys only grow until Clear), so pointers handed out by an
+  // earlier read stay valid. A queue is sampled by its owner's shard only;
+  // should two slots hold one, the higher shard's last sample wins.
+  for (auto& [op, histogram] : merged_.latency) {
+    histogram = Log2Histogram();
+  }
+  for (auto& [key, gauge] : merged_.queues) {
+    gauge = QueueGauge();
+  }
+  for (auto& [key, counters] : merged_.flow) {
+    counters = FlowCounters();
+  }
+  for (auto& [uid, count] : merged_.invocations) {
+    count = 0;
+  }
+  shards_.ForEach([this](const ShardState& shard) {
+    for (const auto& [op, histogram] : shard.latency) {
+      auto it = merged_.latency.find(op);
+      if (it == merged_.latency.end()) {
+        it = merged_.latency.emplace(op, Log2Histogram()).first;
+      }
+      it->second.Merge(histogram);
+    }
+    for (const auto& [key, gauge] : shard.queues) {
+      QueueGauge& into = merged_.queues[key];
+      into.depth = gauge.depth;
+      into.high_water = std::max(into.high_water, gauge.high_water);
+      into.samples += gauge.samples;
+    }
+    for (const auto& [key, counters] : shard.flow) {
+      FlowCounters& into = merged_.flow[key];
+      into.hiwat_hits += counters.hiwat_hits;
+      into.putbacks += counters.putbacks;
+      into.band_overtakes += counters.band_overtakes;
+    }
+    for (const auto& [uid, count] : shard.invocations) {
+      merged_.invocations[uid] += count;
+    }
+  });
+  return merged_;
+}
+
 const Log2Histogram* MetricsRegistry::LatencyFor(std::string_view op) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = latency_.find(std::string(op));
-  return it == latency_.end() ? nullptr : &it->second;
+  const Merged& merged = Merge();
+  auto it = merged.latency.find(op);
+  return it == merged.latency.end() ? nullptr : &it->second;
 }
 
 const MetricsRegistry::QueueGauge* MetricsRegistry::QueueFor(
     std::string_view component, const Uid& owner) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = queues_.find({std::string(component), owner});
-  return it == queues_.end() ? nullptr : &it->second;
+  std::optional<StreamComponent> parsed = ParseComponent(component);
+  if (!parsed) {
+    return nullptr;
+  }
+  const Merged& merged = Merge();
+  auto it = merged.queues.find(QueueKey{*parsed, owner});
+  return it == merged.queues.end() ? nullptr : &it->second;
 }
 
 const MetricsRegistry::FlowCounters* MetricsRegistry::FlowFor(
     std::string_view component, const Uid& owner) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = flow_.find({std::string(component), owner});
-  return it == flow_.end() ? nullptr : &it->second;
+  std::optional<StreamComponent> parsed = ParseComponent(component);
+  if (!parsed) {
+    return nullptr;
+  }
+  const Merged& merged = Merge();
+  auto it = merged.flow.find(QueueKey{*parsed, owner});
+  return it == merged.flow.end() ? nullptr : &it->second;
 }
 
 uint64_t MetricsRegistry::InvocationsTo(const Uid& target) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = invocations_.find(target);
-  return it == invocations_.end() ? 0 : it->second;
+  const Merged& merged = Merge();
+  auto it = merged.invocations.find(target);
+  return it == merged.invocations.end() ? 0 : it->second;
 }
 
 std::vector<std::pair<int, ShardCounters>> MetricsRegistry::ShardSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return {shards_.begin(), shards_.end()};
+  return {shard_counters_.begin(), shard_counters_.end()};
 }
 
 void MetricsRegistry::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  latency_.clear();
-  queues_.clear();
-  flow_.clear();
-  invocations_.clear();
-  shards_.clear();
+  shards_.Clear();
+  merged_ = Merged();
+  shard_counters_.clear();
 }
 
 std::string MetricsRegistry::NameOf(const Uid& uid) const {
@@ -183,34 +288,38 @@ std::string MetricsRegistry::NameOf(const Uid& uid) const {
   return it != labels_.end() ? it->second : uid.Short();
 }
 
+std::string MetricsRegistry::QueueName(const QueueKey& key) const {
+  return std::string(ComponentName(key.component)) + "/" + NameOf(key.owner);
+}
+
 Value MetricsRegistry::Snapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const Merged& merged = Merge();
   Value latency;
-  for (const auto& [op, histogram] : latency_) {
+  for (const auto& [op, histogram] : merged.latency) {
     latency.Set(op, histogram.ToValue());
   }
   Value queues;
-  for (const auto& [key, gauge] : queues_) {
+  for (const auto& [key, gauge] : merged.queues) {
     Value entry;
     entry.Set("depth", Value(static_cast<uint64_t>(gauge.depth)));
     entry.Set("high_water", Value(static_cast<uint64_t>(gauge.high_water)));
     entry.Set("samples", Value(gauge.samples));
-    queues.Set(key.first + "/" + NameOf(key.second), std::move(entry));
+    queues.Set(QueueName(key), std::move(entry));
   }
   Value flow;
-  for (const auto& [key, counters] : flow_) {
+  for (const auto& [key, counters] : merged.flow) {
     Value entry;
     entry.Set("hiwat_hits", Value(counters.hiwat_hits));
     entry.Set("putbacks", Value(counters.putbacks));
     entry.Set("band_overtakes", Value(counters.band_overtakes));
-    flow.Set(key.first + "/" + NameOf(key.second), std::move(entry));
+    flow.Set(QueueName(key), std::move(entry));
   }
   Value invocations;
-  for (const auto& [uid, count] : invocations_) {
+  for (const auto& [uid, count] : merged.invocations) {
     invocations.Set(NameOf(uid), Value(count));
   }
   Value shards;
-  for (const auto& [index, counters] : shards_) {
+  for (const auto& [index, counters] : shard_counters_) {
     Value entry;
     entry.Set("events_processed", Value(counters.events_processed));
     entry.Set("cross_shard_sends", Value(counters.cross_shard_sends));
@@ -237,10 +346,10 @@ Value MetricsRegistry::Snapshot() const {
 std::string MetricsRegistry::ToJson() const { return ValueToJson(Snapshot()); }
 
 std::string MetricsRegistry::ToString() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  const Merged& merged = Merge();
   std::string out;
   char buf[256];
-  for (const auto& [op, h] : latency_) {
+  for (const auto& [op, h] : merged.latency) {
     std::snprintf(buf, sizeof(buf),
                   "latency %-16s count=%llu mean=%.1f p50=%llu p90=%llu "
                   "p99=%llu max=%llu\n",
@@ -251,29 +360,29 @@ std::string MetricsRegistry::ToString() const {
                   static_cast<unsigned long long>(h.max()));
     out += buf;
   }
-  for (const auto& [key, gauge] : queues_) {
+  for (const auto& [key, gauge] : merged.queues) {
     std::snprintf(buf, sizeof(buf),
                   "queue   %-28s depth=%zu high_water=%zu samples=%llu\n",
-                  (key.first + "/" + NameOf(key.second)).c_str(), gauge.depth,
+                  QueueName(key).c_str(), gauge.depth,
                   gauge.high_water, static_cast<unsigned long long>(gauge.samples));
     out += buf;
   }
-  for (const auto& [key, counters] : flow_) {
+  for (const auto& [key, counters] : merged.flow) {
     std::snprintf(buf, sizeof(buf),
                   "flow    %-28s hiwat_hits=%llu putbacks=%llu "
                   "band_overtakes=%llu\n",
-                  (key.first + "/" + NameOf(key.second)).c_str(),
+                  QueueName(key).c_str(),
                   static_cast<unsigned long long>(counters.hiwat_hits),
                   static_cast<unsigned long long>(counters.putbacks),
                   static_cast<unsigned long long>(counters.band_overtakes));
     out += buf;
   }
-  for (const auto& [uid, count] : invocations_) {
+  for (const auto& [uid, count] : merged.invocations) {
     std::snprintf(buf, sizeof(buf), "invoked %-16s count=%llu\n",
                   NameOf(uid).c_str(), static_cast<unsigned long long>(count));
     out += buf;
   }
-  for (const auto& [index, c] : shards_) {
+  for (const auto& [index, c] : shard_counters_) {
     std::snprintf(buf, sizeof(buf),
                   "shard   %-4d events=%llu cross_sends=%llu stalls=%llu "
                   "windows=%llu mbox_hiwat=%llu overflows=%llu\n",

@@ -9,20 +9,24 @@
 // invocation count per target Eject.
 //
 // Like the tracer, the registry is an optional kernel hook: when none is
-// installed (Kernel::set_metrics(nullptr), the default) the kernel and the
-// stream components skip every recording site behind a single null check,
-// preserving the tracer-unset fast path.
+// installed (Kernel::set_metrics(nullptr), the default) the kernel skips
+// every recording site behind a single null check, and the stream
+// components report through Kernel::ObserveQueueDepth/ObserveFlowEvent,
+// which cost one inline flag test while neither the registry nor a
+// telemetry sampler is installed.
 #ifndef SRC_EDEN_METRICS_H_
 #define SRC_EDEN_METRICS_H_
 
 #include <cstdint>
 #include <map>
-#include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/eden/per_shard.h"
 #include "src/eden/stats.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -91,12 +95,27 @@ class Log2Histogram {
 
 // Flow-control incidents on one queue (see PROTOCOL.md "Flow control").
 // The fixed underlying type lets kernel.h forward-declare the enum for its
-// telemetry observation hooks without pulling this header into every Eject.
+// observation hooks without pulling this header into every Eject.
 enum class FlowEvent : uint8_t {
   kHiwatHit,       // a producer was blocked/withheld at the high watermark
   kPutBack,        // an item was returned to the front of its band (putbq)
   kBandOvertake,   // a control item was served ahead of queued data
 };
+
+// The stream primitive owning an instrumented queue. Enumerators are in the
+// alphabetical order of their names, so maps keyed by the enum iterate in
+// the same order as maps keyed by the name would.
+enum class StreamComponent : uint8_t {
+  kAcceptor,  // StreamAcceptor input buffers
+  kPipe,      // PassiveBuffer (both faces together)
+  kReader,    // StreamReader prefetch buffers
+  kServer,    // StreamServer work-ahead buffers
+};
+
+// "acceptor", "pipe", "reader", "server".
+const char* ComponentName(StreamComponent component);
+// The inverse of ComponentName; nullopt for any other name.
+std::optional<StreamComponent> ParseComponent(std::string_view name);
 
 class MetricsRegistry {
  public:
@@ -112,53 +131,33 @@ class MetricsRegistry {
     uint64_t band_overtakes = 0;
   };
 
-  // ---- Recording hooks (kernel and stream components; callers gate on the
-  // registry pointer, so these assume they are wanted). All hooks take the
-  // registry mutex: shard workers record concurrently during a parallel run,
-  // and every recorded quantity is a commutative aggregate (histogram sums,
-  // counts, maxima), so the totals at rest are deterministic regardless of
-  // the interleaving.
-  void RecordLatency(const std::string& op, uint64_t ticks) {
-    std::lock_guard<std::mutex> lock(mu_);
-    latency_[op].Record(ticks);
-  }
-  void CountInvocation(const Uid& target) {
-    std::lock_guard<std::mutex> lock(mu_);
-    invocations_[target]++;
-  }
-  void RecordQueueDepth(std::string_view component, const Uid& owner,
-                        size_t depth) {
-    std::lock_guard<std::mutex> lock(mu_);
-    QueueGauge& gauge = queues_[{std::string(component), owner}];
-    gauge.depth = depth;
-    gauge.high_water = depth > gauge.high_water ? depth : gauge.high_water;
-    gauge.samples++;
-  }
-  void CountFlowEvent(std::string_view component, const Uid& owner,
-                      FlowEvent event) {
-    std::lock_guard<std::mutex> lock(mu_);
-    FlowCounters& counters = flow_[{std::string(component), owner}];
-    switch (event) {
-      case FlowEvent::kHiwatHit: counters.hiwat_hits++; break;
-      case FlowEvent::kPutBack: counters.putbacks++; break;
-      case FlowEvent::kBandOvertake: counters.band_overtakes++; break;
-    }
-  }
+  // ---- Recording hooks (the kernel; callers gate on the registry pointer,
+  // so these assume they are wanted). Each hook writes the calling shard's
+  // own slot (PerShard, per_shard.h) and takes no lock: a queue belongs to
+  // one Eject and so to one shard, and the quantities several shards share
+  // (latency per op, invocations per target) are commutative aggregates
+  // that the read side merges. The totals at rest are therefore the same at
+  // any shard count.
+  void RecordLatency(std::string_view op, uint64_t ticks);
+  void CountInvocation(const Uid& target);
+  void RecordQueueDepth(StreamComponent component, const Uid& owner,
+                        size_t depth);
+  void CountFlowEvent(StreamComponent component, const Uid& owner,
+                      FlowEvent event);
   // Published by the kernel after each run (replacing any previous counters
   // for that shard, so the registry always reflects the most recent run).
   void RecordShardCounters(int shard, const ShardCounters& counters) {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_[shard] = counters;
+    shard_counters_[shard] = counters;
   }
 
-  // Pretty names for snapshot keys (defaults to the short UID).
-  void Label(const Uid& uid, std::string name) {
-    std::lock_guard<std::mutex> lock(mu_);
-    labels_[uid] = std::move(name);
-  }
+  // Pretty names for snapshot keys (defaults to the short UID). Set up
+  // between runs.
+  void Label(const Uid& uid, std::string name) { labels_[uid] = std::move(name); }
 
-  // ---- Introspection. Returned pointers stay valid (node-based maps) but
-  // are meant for quiescent reads — between runs, not during one.
+  // ---- Introspection: quiescent reads (between runs, not during one),
+  // from one thread. Each read merges the per-shard slots into a view the
+  // returned pointers point into; a later read refreshes the same entries in
+  // place, so earlier pointers stay valid until Clear().
   const Log2Histogram* LatencyFor(std::string_view op) const;
   const QueueGauge* QueueFor(std::string_view component, const Uid& owner) const;
   const FlowCounters* FlowFor(std::string_view component, const Uid& owner) const;
@@ -178,15 +177,47 @@ class MetricsRegistry {
   std::string ToString() const;
 
  private:
-  std::string NameOf(const Uid& uid) const;
+  struct QueueKey {
+    StreamComponent component;
+    Uid owner;
+    friend bool operator==(const QueueKey& a, const QueueKey& b) {
+      return a.component == b.component && a.owner == b.owner;
+    }
+    friend bool operator<(const QueueKey& a, const QueueKey& b) {
+      return a.component != b.component ? a.component < b.component
+                                        : a.owner < b.owner;
+    }
+  };
+  struct QueueKeyHash {
+    size_t operator()(const QueueKey& key) const {
+      return Uid::Hash()(key.owner) ^ static_cast<size_t>(key.component);
+    }
+  };
+  // One shard's recordings. Hash maps on the hot path; the merged view is
+  // ordered, which is what makes Snapshot byte-stable.
+  struct alignas(64) ShardState {
+    std::map<std::string, Log2Histogram, std::less<>> latency;
+    std::unordered_map<QueueKey, QueueGauge, QueueKeyHash> queues;
+    std::unordered_map<QueueKey, FlowCounters, QueueKeyHash> flow;
+    std::unordered_map<Uid, uint64_t, Uid::Hash> invocations;
+  };
+  struct Merged {
+    std::map<std::string, Log2Histogram, std::less<>> latency;
+    std::map<QueueKey, QueueGauge> queues;
+    std::map<QueueKey, FlowCounters> flow;
+    std::map<Uid, uint64_t> invocations;
+  };
 
-  mutable std::mutex mu_;
-  std::map<std::string, Log2Histogram> latency_;
-  std::map<std::pair<std::string, Uid>, QueueGauge> queues_;
-  std::map<std::pair<std::string, Uid>, FlowCounters> flow_;
-  std::map<Uid, uint64_t> invocations_;
+  ShardState& Local();
+  // Refreshes merged_ from the slots (keys are only ever added).
+  const Merged& Merge() const;
+  std::string NameOf(const Uid& uid) const;
+  std::string QueueName(const QueueKey& key) const;
+
+  PerShard<ShardState> shards_;
+  mutable Merged merged_;
   std::map<Uid, std::string> labels_;
-  std::map<int, ShardCounters> shards_;
+  std::map<int, ShardCounters> shard_counters_;
 };
 
 }  // namespace eden

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <utility>
 
+#include "src/eden/kernel.h"
+
 namespace eden {
 
 namespace {
@@ -31,6 +33,10 @@ const char* KindName(InvariantMonitor::Violation::Kind kind) {
 
 }  // namespace
 
+InvariantMonitor::ShardState& InvariantMonitor::Local() {
+  return shards_.At(Kernel::ExecutingShard());
+}
+
 void InvariantMonitor::Report(Violation::Kind kind, Tick at, const Uid& stage,
                               std::string detail) {
   Violation violation;
@@ -38,13 +44,19 @@ void InvariantMonitor::Report(Violation::Kind kind, Tick at, const Uid& stage,
   violation.at = at;
   violation.stage = stage;
   violation.detail = std::move(detail);
+  Kernel::EmitInOrder([this, violation = std::move(violation)]() mutable {
+    Publish(std::move(violation));
+  });
+}
+
+void InvariantMonitor::Publish(Violation violation) {
   if (trace_sink_) {
     TraceEvent event;
     event.kind = TraceEvent::Kind::kViolation;
-    event.at = at;
-    event.from = stage;
-    event.to = stage;
-    event.op = std::string(KindName(kind)) + ": " + violation.detail;
+    event.at = violation.at;
+    event.from = violation.stage;
+    event.to = violation.stage;
+    event.op = std::string(KindName(violation.kind)) + ": " + violation.detail;
     event.ok = false;
     trace_sink_(event);
   }
@@ -52,12 +64,15 @@ void InvariantMonitor::Report(Violation::Kind kind, Tick at, const Uid& stage,
 }
 
 void InvariantMonitor::OnTraceEvent(const TraceEvent& event) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   events_seen_++;
   if (event.kind != TraceEvent::Kind::kInvoke) {
     return;
   }
-  invocations_by_op_[event.op]++;
+  auto op_it = invocations_by_op_.find(event.op);
+  if (op_it == invocations_by_op_.end()) {
+    op_it = invocations_by_op_.emplace(event.op, 0).first;
+  }
+  op_it->second++;
   // Span-tree well-formedness. Ids are allocated per origin node (high bits;
   // see message.h) in send order, and the monitor observes invocations in
   // the deterministic trace order, so each origin's ids must arrive strictly
@@ -91,13 +106,11 @@ void InvariantMonitor::OnTraceEvent(const TraceEvent& event) {
 }
 
 void InvariantMonitor::OnProduced(const Uid& stage, Tick, uint64_t items) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  flows_[stage].produced += items;
+  Local().flows[stage].produced += items;
 }
 
 void InvariantMonitor::OnServed(const Uid& stage, Tick at, uint64_t items) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Flow& flow = flows_[stage];
+  Flow& flow = Local().flows[stage];
   flow.served += items;
   if (flow.served + flow.pushed > flow.produced) {
     Report(Violation::Kind::kFlowConservation, at, stage,
@@ -109,10 +122,10 @@ void InvariantMonitor::OnServed(const Uid& stage, Tick at, uint64_t items) {
 
 void InvariantMonitor::OnPushed(const Uid& stage, const Uid& sink, Tick at,
                                 uint64_t items) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Flow& flow = flows_[stage];
+  ShardState& local = Local();
+  Flow& flow = local.flows[stage];
   flow.pushed += items;
-  push_edges_[{stage, sink}] += items;
+  local.push_edges[{stage, sink}] += items;
   if (flow.served + flow.pushed > flow.produced) {
     Report(Violation::Kind::kFlowConservation, at, stage,
            NameOf(stage) + " delivered " +
@@ -123,24 +136,24 @@ void InvariantMonitor::OnPushed(const Uid& stage, const Uid& sink, Tick at,
 
 void InvariantMonitor::OnPulled(const Uid& stage, const Uid& source, Tick,
                                 uint64_t items) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  flows_[stage].pulled += items;
-  pull_edges_[{source, stage}] += items;
+  ShardState& local = Local();
+  local.flows[stage].pulled += items;
+  local.pull_edges[{source, stage}] += items;
 }
 
 void InvariantMonitor::OnAccepted(const Uid& stage, Tick, uint64_t items,
                                   int band) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  flows_[stage].accepted += items;
+  ShardState& local = Local();
+  local.flows[stage].accepted += items;
   if (band >= 0) {
-    band_flows_[{stage, band}].accepted += items;
+    local.band_flows[{stage, band}].accepted += items;
   }
 }
 
 void InvariantMonitor::OnConsumed(const Uid& stage, Tick at, uint64_t items,
                                   int band) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Flow& flow = flows_[stage];
+  ShardState& local = Local();
+  Flow& flow = local.flows[stage];
   flow.consumed += items;
   // Put-backs return a consumed item to its buffer, so it is legitimately
   // consumed again: net consumption is consumed - putback.
@@ -152,7 +165,7 @@ void InvariantMonitor::OnConsumed(const Uid& stage, Tick at, uint64_t items,
                " arrived");
   }
   if (band >= 0) {
-    BandFlow& bf = band_flows_[{stage, band}];
+    BandFlow& bf = local.band_flows[{stage, band}];
     bf.taken += items;
     if (bf.taken > bf.accepted + bf.putback) {
       Report(Violation::Kind::kFlowConservation, at, stage,
@@ -165,8 +178,8 @@ void InvariantMonitor::OnConsumed(const Uid& stage, Tick at, uint64_t items,
 
 void InvariantMonitor::OnPutBack(const Uid& stage, Tick at, uint64_t items,
                                  int band) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  Flow& flow = flows_[stage];
+  ShardState& local = Local();
+  Flow& flow = local.flows[stage];
   flow.putback += items;
   if (flow.putback > flow.consumed) {
     Report(Violation::Kind::kFlowConservation, at, stage,
@@ -174,7 +187,7 @@ void InvariantMonitor::OnPutBack(const Uid& stage, Tick at, uint64_t items,
                " items but consumed only " + std::to_string(flow.consumed));
   }
   if (band >= 0) {
-    BandFlow& bf = band_flows_[{stage, band}];
+    BandFlow& bf = local.band_flows[{stage, band}];
     bf.putback += items;
     if (bf.putback > bf.taken) {
       Report(Violation::Kind::kFlowConservation, at, stage,
@@ -187,11 +200,11 @@ void InvariantMonitor::OnPutBack(const Uid& stage, Tick at, uint64_t items,
 
 void InvariantMonitor::OnSequence(const Uid& stage, Tick at,
                                   std::string_view counter, uint64_t value) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  auto& sequences = Local().sequences;
   auto key = std::make_pair(stage, std::string(counter));
-  auto it = sequences_.find(key);
-  if (it == sequences_.end()) {
-    sequences_.emplace(std::move(key), value);
+  auto it = sequences.find(key);
+  if (it == sequences.end()) {
+    sequences.emplace(std::move(key), value);
     return;
   }
   if (value < it->second) {
@@ -204,24 +217,20 @@ void InvariantMonitor::OnSequence(const Uid& stage, Tick at,
 
 void InvariantMonitor::OnStaticFinding(Tick at, const Uid& stage,
                                        std::string detail) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Report(Violation::Kind::kStatic, at, stage, std::move(detail));
 }
 
 void InvariantMonitor::OnSloViolation(Tick at, const Uid& stage,
                                       std::string detail) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Report(Violation::Kind::kSlo, at, stage, std::move(detail));
 }
 
 void InvariantMonitor::OnShardRace(Tick at, const Uid& stage,
                                    std::string detail) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   Report(Violation::Kind::kShardRace, at, stage, std::move(detail));
 }
 
 void InvariantMonitor::ExpectInvocations(std::string op, uint64_t count) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   expected_invocations_[std::move(op)] = count;
 }
 
@@ -233,13 +242,56 @@ void InvariantMonitor::ExpectReadOnlyPipeline(uint64_t filters,
 }
 
 uint64_t InvariantMonitor::invocations_of(std::string_view op) const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   auto it = invocations_by_op_.find(op);
   return it == invocations_by_op_.end() ? 0 : it->second;
 }
 
+InvariantMonitor::Merged InvariantMonitor::Merge() const {
+  Merged merged;
+  shards_.ForEach([&merged](const ShardState& shard) {
+    for (const auto& [stage, flow] : shard.flows) {
+      Flow& into = merged.flows[stage];
+      into.produced += flow.produced;
+      into.served += flow.served;
+      into.pushed += flow.pushed;
+      into.pulled += flow.pulled;
+      into.accepted += flow.accepted;
+      into.consumed += flow.consumed;
+      into.putback += flow.putback;
+    }
+    for (const auto& [key, bf] : shard.band_flows) {
+      BandFlow& into = merged.band_flows[key];
+      into.accepted += bf.accepted;
+      into.taken += bf.taken;
+      into.putback += bf.putback;
+    }
+    for (const auto& [edge, items] : shard.pull_edges) {
+      merged.pulled_from[edge.first] += items;
+    }
+    for (const auto& [edge, items] : shard.push_edges) {
+      merged.pushed_into[edge.second] += items;
+    }
+  });
+  return merged;
+}
+
+const std::map<Uid, InvariantMonitor::Flow>& InvariantMonitor::flows() const {
+  flows_view_ = Merge().flows;
+  return flows_view_;
+}
+
+const std::map<std::pair<Uid, int>, InvariantMonitor::BandFlow>&
+InvariantMonitor::band_flows() const {
+  band_flows_view_ = Merge().band_flows;
+  return band_flows_view_;
+}
+
 std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  return CheckMerged(Merge());
+}
+
+std::vector<InvariantMonitor::Violation> InvariantMonitor::CheckMerged(
+    const Merged& merged) const {
   std::vector<Violation> result = violations_;
   auto report = [&result](Violation::Kind kind, const Uid& stage,
                           std::string detail) {
@@ -253,13 +305,9 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
   // Wire conservation, pull side: everything a server handed out over
   // Transfer replies must have been ingested by some reader. A shortfall
   // means a reply (and the items it carried) was lost in flight.
-  std::map<Uid, uint64_t> pulled_from;
-  for (const auto& [edge, items] : pull_edges_) {
-    pulled_from[edge.first] += items;
-  }
-  for (const auto& [stage, flow] : flows_) {
+  for (const auto& [stage, flow] : merged.flows) {
     uint64_t arrived = 0;
-    if (auto it = pulled_from.find(stage); it != pulled_from.end()) {
+    if (auto it = merged.pulled_from.find(stage); it != merged.pulled_from.end()) {
       arrived = it->second;
     }
     if (flow.served != arrived) {
@@ -269,8 +317,8 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
                  " (lost on the wire)");
     }
   }
-  for (const auto& [stage, arrived] : pulled_from) {
-    if (flows_.find(stage) == flows_.end() && arrived != 0) {
+  for (const auto& [stage, arrived] : merged.pulled_from) {
+    if (merged.flows.find(stage) == merged.flows.end() && arrived != 0) {
       report(Violation::Kind::kFlowConservation, stage,
              "consumers ingested " + std::to_string(arrived) + " items from " +
                  NameOf(stage) + " which served none");
@@ -279,13 +327,9 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
 
   // Wire conservation, push side: everything a writer transmitted must have
   // been accepted by the acceptor it names as its sink.
-  std::map<Uid, uint64_t> pushed_into;
-  for (const auto& [edge, items] : push_edges_) {
-    pushed_into[edge.second] += items;
-  }
-  for (const auto& [sink, sent] : pushed_into) {
+  for (const auto& [sink, sent] : merged.pushed_into) {
     uint64_t accepted = 0;
-    if (auto it = flows_.find(sink); it != flows_.end()) {
+    if (auto it = merged.flows.find(sink); it != merged.flows.end()) {
       accepted = it->second.accepted;
     }
     if (sent != accepted) {
@@ -309,7 +353,6 @@ std::vector<InvariantMonitor::Violation> InvariantMonitor::Check() const {
 }
 
 void InvariantMonitor::Label(const Uid& uid, std::string name) {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
   labels_[uid] = std::move(name);
 }
 
@@ -319,13 +362,13 @@ std::string InvariantMonitor::NameOf(const Uid& uid) const {
 }
 
 std::string InvariantMonitor::ToString() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  Merged merged = Merge();
   std::ostringstream out;
-  out << "invariant monitor: " << events_seen_ << " events, " << flows_.size()
-      << " stages\n";
+  out << "invariant monitor: " << events_seen_ << " events, "
+      << merged.flows.size() << " stages\n";
   out << "  stage            in(pull+acc)  consumed  produced  out(srv+psh)"
          "  buffered\n";
-  for (const auto& [stage, flow] : flows_) {
+  for (const auto& [stage, flow] : merged.flows) {
     int64_t in = static_cast<int64_t>(flow.pulled + flow.accepted);
     int64_t delivered = static_cast<int64_t>(flow.served + flow.pushed);
     // in - net consumed (put-backs return to the buffer) still sits in input
@@ -344,14 +387,14 @@ std::string InvariantMonitor::ToString() const {
                   static_cast<long long>(buffered));
     out << line;
   }
-  if (!band_flows_.empty()) {
+  if (!merged.band_flows.empty()) {
     out << "  bands (accepted/taken/putback):\n";
-    for (const auto& [key, bf] : band_flows_) {
+    for (const auto& [key, bf] : merged.band_flows) {
       out << "    " << NameOf(key.first) << " band " << key.second << ": "
           << bf.accepted << "/" << bf.taken << "/" << bf.putback << "\n";
     }
   }
-  std::vector<Violation> all = Check();
+  std::vector<Violation> all = CheckMerged(merged);
   if (all.empty()) {
     out << "  all invariants hold\n";
   } else {
@@ -377,9 +420,9 @@ void InvariantMonitor::Describe(const Violation& violation, Value& out) {
 }
 
 Value InvariantMonitor::ToValue() const {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  Merged merged = Merge();
   Value flows;
-  for (const auto& [stage, flow] : flows_) {
+  for (const auto& [stage, flow] : merged.flows) {
     Value entry;
     entry.Set("produced", Value(static_cast<int64_t>(flow.produced)));
     entry.Set("served", Value(static_cast<int64_t>(flow.served)));
@@ -391,7 +434,7 @@ Value InvariantMonitor::ToValue() const {
     flows.Set(NameOf(stage), std::move(entry));
   }
   Value bands;
-  for (const auto& [key, bf] : band_flows_) {
+  for (const auto& [key, bf] : merged.band_flows) {
     Value entry;
     entry.Set("accepted", Value(static_cast<int64_t>(bf.accepted)));
     entry.Set("taken", Value(static_cast<int64_t>(bf.taken)));
@@ -403,7 +446,7 @@ Value InvariantMonitor::ToValue() const {
   for (const auto& [op, count] : invocations_by_op_) {
     invocations.Set(op, Value(static_cast<int64_t>(count)));
   }
-  std::vector<Violation> all = Check();
+  std::vector<Violation> all = CheckMerged(merged);
   ValueList violations;
   for (const Violation& violation : all) {
     Value entry;
@@ -413,7 +456,7 @@ Value InvariantMonitor::ToValue() const {
   Value report;
   report.Set("events", Value(static_cast<int64_t>(events_seen_)));
   report.Set("flows", std::move(flows));
-  if (!band_flows_.empty()) {
+  if (!merged.band_flows.empty()) {
     report.Set("bands", std::move(bands));
   }
   report.Set("invocations", std::move(invocations));
@@ -423,12 +466,9 @@ Value InvariantMonitor::ToValue() const {
 }
 
 void InvariantMonitor::Clear() {
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  flows_.clear();
-  band_flows_.clear();
-  pull_edges_.clear();
-  push_edges_.clear();
-  sequences_.clear();
+  shards_.Clear();
+  flows_view_.clear();
+  band_flows_view_.clear();
   invocations_by_op_.clear();
   expected_invocations_.clear();
   last_span_by_origin_.clear();

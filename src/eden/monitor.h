@@ -35,18 +35,33 @@
 // trace sink as kViolation events; `Check()` re-derives the end-of-run
 // conservation and expectation checks on top, without mutating state, so
 // the shell can call it repeatedly.
+//
+// Threading: the two feeds follow the kernel's two observation paths.
+//   - The stream-primitive feed is commutative per-stage accounting. Each
+//     stage is an Eject on one shard, so its flows, band flows, edges and
+//     sequence marks are written by that shard alone: they live in the
+//     calling shard's PerShard slot (per_shard.h) and take no lock. Reads
+//     (flows(), Check(), ToString(), ToValue()) merge the slots; they are
+//     for quiescent moments.
+//   - The trace feed (span-tree check, per-op invocation counts) and every
+//     reported violation are order-sensitive. They run single-threaded, on
+//     the kernel's ordered observation merge: an inline violation raised on
+//     a shard worker is queued through Kernel::EmitInOrder, so
+//     `violations()` and the kViolation trace lines come out in EventKey
+//     order, byte-identical at any shard count.
 #ifndef SRC_EDEN_MONITOR_H_
 #define SRC_EDEN_MONITOR_H_
 
 #include <cstdint>
 #include <map>
-#include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "src/eden/clock.h"
+#include "src/eden/per_shard.h"
 #include "src/eden/trace.h"
 #include "src/eden/uid.h"
 #include "src/eden/value.h"
@@ -97,12 +112,14 @@ class InvariantMonitor {
   InvariantMonitor(const InvariantMonitor&) = delete;
   InvariantMonitor& operator=(const InvariantMonitor&) = delete;
 
-  // ---- Kernel feed (installed via Kernel::set_monitor).
+  // ---- Kernel feed (installed via Kernel::set_monitor): the merged,
+  // ordered trace stream.
   void OnTraceEvent(const TraceEvent& event);
 
   // ---- Stream-primitive feed. Callers gate on kernel().monitor() so the
   // uninstalled fast path stays one pointer test. `at` is kernel().now() —
-  // passed in so the monitor needs no back-pointer to the kernel.
+  // passed in so the monitor needs no back-pointer to the kernel. Each call
+  // records into the calling shard's slot (see the file comment).
   void OnProduced(const Uid& stage, Tick at, uint64_t items);
   void OnServed(const Uid& stage, Tick at, uint64_t items);
   void OnPushed(const Uid& stage, const Uid& sink, Tick at, uint64_t items);
@@ -150,10 +167,10 @@ class InvariantMonitor {
   std::vector<Violation> Check() const;
   bool ok() const { return Check().empty(); }
 
-  const std::map<Uid, Flow>& flows() const { return flows_; }
-  const std::map<std::pair<Uid, int>, BandFlow>& band_flows() const {
-    return band_flows_;
-  }
+  // Merged over the shard slots; the reference stays valid, and its
+  // contents current as of this call, until the next flows()/band_flows().
+  const std::map<Uid, Flow>& flows() const;
+  const std::map<std::pair<Uid, int>, BandFlow>& band_flows() const;
   uint64_t invocations_of(std::string_view op) const;
 
   // Violations are also emitted as TraceEvent::Kind::kViolation into this
@@ -170,31 +187,59 @@ class InvariantMonitor {
   void Clear();
 
  private:
+  struct UidPairHash {
+    size_t operator()(const std::pair<Uid, Uid>& key) const {
+      return Uid::Hash()(key.first) * 31 + Uid::Hash()(key.second);
+    }
+  };
+  struct BandKeyHash {
+    size_t operator()(const std::pair<Uid, int>& key) const {
+      return Uid::Hash()(key.first) + static_cast<size_t>(key.second);
+    }
+  };
+  // One shard's stream-primitive accounting.
+  struct alignas(64) ShardState {
+    std::unordered_map<Uid, Flow, Uid::Hash> flows;
+    std::unordered_map<std::pair<Uid, int>, BandFlow, BandKeyHash> band_flows;
+    // Wire accounting, recorded by the active end (which knows both parties).
+    std::unordered_map<std::pair<Uid, Uid>, uint64_t, UidPairHash>
+        pull_edges;  // (server, reader)
+    std::unordered_map<std::pair<Uid, Uid>, uint64_t, UidPairHash>
+        push_edges;  // (writer, acceptor)
+    std::map<std::pair<Uid, std::string>, uint64_t, std::less<>> sequences;
+  };
+  // The slots folded together, ordered for deterministic reports.
+  struct Merged {
+    std::map<Uid, Flow> flows;
+    std::map<std::pair<Uid, int>, BandFlow> band_flows;
+    std::map<Uid, uint64_t> pulled_from;  // per server, over all readers
+    std::map<Uid, uint64_t> pushed_into;  // per acceptor, over all writers
+  };
+
+  ShardState& Local();
+  Merged Merge() const;
+  // Queues the violation on the ordered stream (Kernel::EmitInOrder).
   void Report(Violation::Kind kind, Tick at, const Uid& stage,
               std::string detail);
+  // Appends it and emits its trace line; single-threaded.
+  void Publish(Violation violation);
+  std::vector<Violation> CheckMerged(const Merged& merged) const;
   static void Describe(const Violation& violation, Value& out);
 
-  std::map<Uid, Flow> flows_;
-  std::map<std::pair<Uid, int>, BandFlow> band_flows_;
-  // Wire accounting, recorded by the active end (which knows both parties).
-  std::map<std::pair<Uid, Uid>, uint64_t> pull_edges_;  // (server, reader)
-  std::map<std::pair<Uid, Uid>, uint64_t> push_edges_;  // (writer, acceptor)
-  std::map<std::pair<Uid, std::string>, uint64_t, std::less<>> sequences_;
+  PerShard<ShardState> shards_;
+  mutable std::map<Uid, Flow> flows_view_;
+  mutable std::map<std::pair<Uid, int>, BandFlow> band_flows_view_;
+  // ---- Ordered-stream state (single-threaded; see the file comment).
   std::map<std::string, uint64_t, std::less<>> invocations_by_op_;
   std::map<std::string, uint64_t, std::less<>> expected_invocations_;
   // Last span id seen per origin (an InvocationId's high bits name the node
   // that allocated it — see message.h). Ids are monotone per origin, not
   // globally, so the well-formedness checks track each origin's frontier.
-  std::map<uint64_t, InvocationId> last_span_by_origin_;
+  std::unordered_map<uint64_t, InvocationId> last_span_by_origin_;
   uint64_t events_seen_ = 0;
   std::vector<Violation> violations_;
   Tracer trace_sink_;
   std::map<Uid, std::string> labels_;
-  // Shard workers feed the stream-primitive hooks concurrently during a
-  // parallel run; every recorded quantity is a commutative aggregate, so the
-  // state at rest is deterministic. Recursive: ToString/ToValue re-enter
-  // through Check().
-  mutable std::recursive_mutex mu_;
 };
 
 }  // namespace eden

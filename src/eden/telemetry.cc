@@ -126,8 +126,8 @@ void TelemetrySampler::OnTraceEvent(const TraceEvent& event) {
 }
 
 TelemetrySampler::QueueState* TelemetrySampler::QueueFor(
-    std::string_view component, const Uid& owner) {
-  auto key = std::make_pair(std::string(component), owner);
+    StreamComponent component, const Uid& owner) {
+  auto key = std::make_pair(component, owner);
   auto it = queues_.find(key);
   if (it != queues_.end()) {
     return &it->second;
@@ -140,10 +140,10 @@ TelemetrySampler::QueueState* TelemetrySampler::QueueFor(
   }
   QueueState state;
   state.first_window = next_window_;
-  return &queues_.emplace(std::move(key), state).first->second;
+  return &queues_.emplace(key, state).first->second;
 }
 
-void TelemetrySampler::OnQueueDepth(std::string_view component,
+void TelemetrySampler::OnQueueDepth(StreamComponent component,
                                     const Uid& owner, Tick at,
                                     uint64_t depth) {
   Advance(at);
@@ -158,7 +158,7 @@ void TelemetrySampler::OnQueueDepth(std::string_view component,
   }
 }
 
-void TelemetrySampler::OnFlowEvent(std::string_view component, const Uid& owner,
+void TelemetrySampler::OnFlowEvent(StreamComponent component, const Uid& owner,
                                    Tick at, FlowEvent event) {
   Advance(at);
   switch (event) {
@@ -254,7 +254,7 @@ std::vector<TelemetrySampler::QueueView> TelemetrySampler::QueueSeries() const {
   out.reserve(queues_.size());
   for (const auto& [key, q] : queues_) {
     QueueView view;
-    view.component = key.first;
+    view.component = ComponentName(key.first);
     view.name = NameOf(key.second);
     view.first_window = q.first_window;
     view.windows.assign(q.ring.begin(), q.ring.end());
@@ -309,7 +309,7 @@ std::optional<double> TelemetrySampler::WindowValue(
     std::string_view component = rest.substr(0, slash);
     std::string_view name = rest.substr(slash + 1);
     for (const auto& [key, q] : queues_) {
-      if (key.first == component && NameOf(key.second) == name) {
+      if (ComponentName(key.first) == component && NameOf(key.second) == name) {
         return &q;
       }
     }

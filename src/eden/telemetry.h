@@ -41,6 +41,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "src/eden/clock.h"
@@ -164,9 +165,9 @@ class TelemetrySampler {
   // ---- Feed hooks (kernel only; single-threaded by the merged-stream
   // contract above, so no lock is taken).
   void OnTraceEvent(const TraceEvent& event);
-  void OnQueueDepth(std::string_view component, const Uid& owner, Tick at,
+  void OnQueueDepth(StreamComponent component, const Uid& owner, Tick at,
                     uint64_t depth);
-  void OnFlowEvent(std::string_view component, const Uid& owner, Tick at,
+  void OnFlowEvent(StreamComponent component, const Uid& owner, Tick at,
                    FlowEvent event);
 
   // Pretty names for queue owners and sketch keys (defaults to short UIDs).
@@ -286,18 +287,18 @@ class TelemetrySampler {
   void Advance(Tick at);
   void CloseWindow();
   void Bump(Counter counter) { counters_[counter].current++; }
-  QueueState* QueueFor(std::string_view component, const Uid& owner);
+  QueueState* QueueFor(StreamComponent component, const Uid& owner);
   std::string NameOf(const Uid& uid) const;
 
   Options options_;
   int64_t next_window_ = 0;  // lowest window index not yet closed
   CounterState counters_[kCounterCount];
-  std::map<std::pair<std::string, Uid>, QueueState> queues_;
+  std::map<std::pair<StreamComponent, Uid>, QueueState> queues_;
   uint64_t queue_series_dropped_ = 0;
   // In-flight invocations: id -> send tick. kReply records the round trip;
   // kDrop/kTimeout retire the entry (a dropped *reply* leaves a stale entry,
   // bounded by the run's drop count).
-  std::map<InvocationId, Tick> inflight_;
+  std::unordered_map<InvocationId, Tick> inflight_;
   Log2Histogram latency_total_;
   Log2Histogram latency_prev_;  // snapshot at the last window close
   std::deque<Log2Histogram> latency_ring_;

@@ -52,11 +52,15 @@ using Tracer = std::function<void(const TraceEvent&)>;
 // recent `capacity` events as a ring, counting what it evicts in
 // events_dropped() — long fault-injection runs can trace indefinitely.
 //
-// Ring writes are mutex-guarded: the kernel itself fans events out from
-// single-threaded contexts (events, or the window barrier of a sharded run),
-// but the monitor's violation sink and other instrumentation may append from
-// shard worker threads. The `events()` reference is for quiescent reads —
-// between runs, not during one.
+// Who writes the ring: the kernel fans trace events out from single-threaded
+// contexts only (sequential events, or the ordered merge at the window
+// barrier of a sharded run), and the per-shard observers never write it from
+// a shard worker — the invariant monitor's and the determinism auditor's
+// violations travel through that same merge (Kernel::EmitInOrder), so a
+// trace is byte-identical at any shard count. Ring writes still take an
+// (uncontended) mutex because the lock-order analyzer's sink is fed by sync
+// primitives wherever they run. The `events()` reference is for quiescent
+// reads — between runs, not during one.
 class TraceRecorder {
  public:
   // capacity 0 = unbounded (the classic behaviour).

@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/eden/kernel.h"
 #include "src/eden/monitor.h"
 
 namespace eden::verify {
@@ -178,8 +179,7 @@ std::string RunDigest::ExpectDigest(const RunDigest& run,
 
 void ShardRaceAnalyzer::OnEventCommit(int shard, const EventKey& key,
                                       bool parallel) {
-  int index = shard < 0 ? 0 : (shard >= kMaxShards ? kMaxShards - 1 : shard);
-  Slot& slot = slots_[index];
+  Slot& slot = slots_.At(shard);
   // The kernel's commit invariant is per-shard *time* monotonicity, not full
   // EventKey order: a handler may legally schedule a same-tick event whose
   // (origin, seq) sorts below the one executing, and it pops next — still
@@ -226,25 +226,29 @@ void ShardRaceAnalyzer::OnCrossShardSend(int from_shard, int to_shard,
 }
 
 void ShardRaceAnalyzer::RecordViolation(AuditViolation violation) {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (trace_sink_) {
-    TraceEvent event;
-    event.kind = TraceEvent::Kind::kViolation;
-    event.at = violation.at;
-    event.op = "shard-race: " + violation.ToString();
-    event.ok = false;
-    trace_sink_(event);
-  }
-  if (monitor_ != nullptr) {
-    monitor_->OnShardRace(violation.at, Uid(), violation.ToString());
-  }
-  violations_.push_back(std::move(violation));
+  // Reported from shard workers: the ordered merge publishes it, so the
+  // violation list and its trace line do not depend on thread timing.
+  Kernel::EmitInOrder([this, violation = std::move(violation)]() mutable {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (trace_sink_) {
+      TraceEvent event;
+      event.kind = TraceEvent::Kind::kViolation;
+      event.at = violation.at;
+      event.op = "shard-race: " + violation.ToString();
+      event.ok = false;
+      trace_sink_(event);
+    }
+    if (monitor_ != nullptr) {
+      monitor_->OnShardRace(violation.at, Uid(), violation.ToString());
+    }
+    violations_.push_back(std::move(violation));
+  });
 }
 
 RunDigest ShardRaceAnalyzer::Digest() const {
   RunDigest digest;
   std::map<NodeId, RunDigest::OriginDigest> merged;
-  for (const Slot& slot : slots_) {
+  slots_.ForEach([&](const Slot& slot) {
     digest.events += slot.events;
     for (const auto& [node, origin] : slot.origins) {
       RunDigest::OriginDigest& into = merged[node];
@@ -252,7 +256,7 @@ RunDigest ShardRaceAnalyzer::Digest() const {
       into.events += origin.events;
       into.digest += origin.digest;  // wrapping add composes shard slots
     }
-  }
+  });
   digest.origins.reserve(merged.size());
   for (const auto& [node, origin] : merged) {
     digest.origins.push_back(origin);
@@ -274,9 +278,7 @@ size_t ShardRaceAnalyzer::violation_count() const {
 
 uint64_t ShardRaceAnalyzer::events() const {
   uint64_t total = 0;
-  for (const Slot& slot : slots_) {
-    total += slot.events;
-  }
+  slots_.ForEach([&total](const Slot& slot) { total += slot.events; });
   return total;
 }
 
@@ -331,12 +333,7 @@ Value ShardRaceAnalyzer::ToValue() const {
 }
 
 void ShardRaceAnalyzer::Clear() {
-  for (Slot& slot : slots_) {
-    slot.has_last = false;
-    slot.last = EventKey{};
-    slot.events = 0;
-    slot.origins.clear();
-  }
+  slots_.Clear();
   window_floor_.store(0, std::memory_order_relaxed);
   window_end_.store(0, std::memory_order_relaxed);
   windows_ = 0;

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include "src/eden/audit.h"
+#include "src/eden/per_shard.h"
 #include "src/eden/trace.h"
 #include "src/eden/value.h"
 
@@ -99,12 +100,6 @@ struct RunDigest {
 
 class ShardRaceAnalyzer : public ShardAuditor {
  public:
-  // Fixed per-shard slot count: shard workers write their slot lock-free,
-  // so the array must never reallocate mid-run. Far above any real core
-  // count; commits from shard indices beyond it are folded into the last
-  // slot (counted, never dropped).
-  static constexpr int kMaxShards = 64;
-
   ShardRaceAnalyzer() = default;
   ShardRaceAnalyzer(const ShardRaceAnalyzer&) = delete;
   ShardRaceAnalyzer& operator=(const ShardRaceAnalyzer&) = delete;
@@ -149,7 +144,7 @@ class ShardRaceAnalyzer : public ShardAuditor {
 
   void RecordViolation(AuditViolation violation);
 
-  Slot slots_[kMaxShards];
+  PerShard<Slot> slots_;
   // The open window, written only at the barrier (single-threaded) and read
   // by committing workers.
   std::atomic<Tick> window_floor_{0};

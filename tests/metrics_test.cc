@@ -228,9 +228,9 @@ TEST(MetricsRegistryTest, RecordsAndSnapshots) {
   metrics.Label(pipe, "pipe0");
   metrics.RecordLatency("Transfer", 120);
   metrics.RecordLatency("Transfer", 240);
-  metrics.RecordQueueDepth("pipe", pipe, 3);
-  metrics.RecordQueueDepth("pipe", pipe, 7);
-  metrics.RecordQueueDepth("pipe", pipe, 2);
+  metrics.RecordQueueDepth(StreamComponent::kPipe, pipe, 3);
+  metrics.RecordQueueDepth(StreamComponent::kPipe, pipe, 7);
+  metrics.RecordQueueDepth(StreamComponent::kPipe, pipe, 2);
   metrics.CountInvocation(pipe);
   metrics.CountInvocation(pipe);
 

@@ -4,9 +4,9 @@
 //
 // The contract under test (DESIGN.md "Sharded kernel"): for a fixed seed
 // and topology, a run at any shard count produces byte-identical output,
-// an identical trace-event stream, identical invariant-monitor state and
-// identical kernel stats. Parallelism may reorder *execution*, never
-// *observation*.
+// an identical trace-event stream, identical invariant-monitor, metrics and
+// telemetry state and identical kernel stats. Parallelism may reorder
+// *execution*, never *observation*.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -16,9 +16,11 @@
 #include "src/core/pipeline.h"
 #include "src/devices/devices.h"
 #include "src/eden/analysis.h"
+#include "src/eden/json.h"
 #include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 #include "src/eden/random.h"
+#include "src/eden/telemetry.h"
 #include "src/eden/trace.h"
 #include "src/filters/transforms.h"
 
@@ -63,45 +65,83 @@ std::string SerializeTrace(const TraceRecorder& trace) {
   return out.str();
 }
 
+// The metrics snapshot minus its "shards" section: per-shard run counters
+// differ by construction; everything else must not.
+std::string MetricsJson(const MetricsRegistry& metrics) {
+  Value snapshot = metrics.Snapshot();
+  if (ValueMap* fields = snapshot.AsMap()) {
+    fields->erase("shards");
+  }
+  return ValueToJson(snapshot);
+}
+
 struct FigRun {
   ValueList output;
   std::string trace;
   std::string monitor;
+  std::string metrics;
+  std::string telemetry;
   std::string stats;
   Tick virtual_time = 0;
   uint64_t cross_shard_sends = 0;
   uint64_t events = 0;
 };
 
-// Runs one figure pipeline at the given shard count with every Eject on its
-// own node (so shard counts > 1 really split the topology) and captures
-// everything an observer could see.
-FigRun RunFig(Discipline discipline, int shards, int items, size_t stages) {
+// Runs `chains` copies of a figure pipeline at the given shard count with
+// every Eject on its own node (so shard counts > 1 really split the
+// topology) and every observer installed, and captures everything an
+// observer could see. Several chains keep several shard workers recording
+// into the per-shard observer slots at once.
+FigRun RunFig(Discipline discipline, int shards, int items, size_t stages,
+              int chains = 1) {
   KernelOptions kernel_options;
   kernel_options.shards = shards;
   Kernel kernel(kernel_options);
   TraceRecorder trace;
   InvariantMonitor monitor;
+  MetricsRegistry metrics;
+  TelemetrySampler telemetry;
   kernel.set_tracer(trace.Hook());
   monitor.set_trace_sink(trace.Hook());
   kernel.set_monitor(&monitor);
+  kernel.set_metrics(&metrics);
+  kernel.set_telemetry(&telemetry);
 
   PipelineOptions options;
   options.discipline = discipline;
   options.distinct_nodes = true;
-  PipelineHandle handle =
-      BuildPipeline(kernel, MakeLines(items), CopyChain(stages), options);
-  handle.LabelAll(trace);
-  handle.LabelAll(monitor);
-  kernel.RunUntil([&handle] { return handle.done(); });
+  std::vector<PipelineHandle> handles;
+  for (int c = 0; c < chains; ++c) {
+    handles.push_back(BuildPipeline(kernel, MakeLines(items, 83 + static_cast<uint64_t>(c)),
+                                    CopyChain(stages), options));
+    const PipelineHandle& handle = handles.back();
+    if (chains == 1) {
+      handle.LabelAll(trace);
+      handle.LabelAll(monitor);
+      handle.LabelAll(metrics);
+      handle.LabelAll(telemetry);
+    }
+  }
+  kernel.RunUntil([&handles] {
+    for (const PipelineHandle& handle : handles) {
+      if (!handle.done()) {
+        return false;
+      }
+    }
+    return true;
+  });
   // Drain trailing replies so the monitor sees the whole run.
   EXPECT_TRUE(kernel.Run());
   EXPECT_TRUE(kernel.quiescent());
 
   FigRun run;
-  run.output = handle.output();
+  for (const PipelineHandle& handle : handles) {
+    run.output.insert(run.output.end(), handle.output().begin(), handle.output().end());
+  }
   run.trace = SerializeTrace(trace);
   run.monitor = monitor.ToString();
+  run.metrics = MetricsJson(metrics);
+  run.telemetry = telemetry.ToJson();
   run.stats = kernel.stats().ToValue().ToString();
   run.virtual_time = kernel.now();
   for (const ShardCounters& c : kernel.shard_counters()) {
@@ -109,6 +149,17 @@ FigRun RunFig(Discipline discipline, int shards, int items, size_t stages) {
     run.events += c.events_processed;
   }
   return run;
+}
+
+void ExpectSameRun(const FigRun& run, const FigRun& base) {
+  EXPECT_EQ(run.output, base.output);
+  EXPECT_EQ(run.trace, base.trace);
+  EXPECT_EQ(run.monitor, base.monitor);
+  EXPECT_EQ(run.metrics, base.metrics);
+  EXPECT_EQ(run.telemetry, base.telemetry);
+  EXPECT_EQ(run.stats, base.stats);
+  EXPECT_EQ(run.virtual_time, base.virtual_time);
+  EXPECT_EQ(run.events, base.events);
 }
 
 class ShardMatrix : public ::testing::TestWithParam<Discipline> {};
@@ -122,13 +173,23 @@ TEST_P(ShardMatrix, FigurePipelinesAreShardCountInvariant) {
   for (int shards : {2, 4, 8}) {
     SCOPED_TRACE(std::string(DisciplineName(discipline)) +
                  " shards=" + std::to_string(shards));
-    FigRun run = RunFig(discipline, shards, items, stages);
-    EXPECT_EQ(run.output, base.output);
-    EXPECT_EQ(run.trace, base.trace);
-    EXPECT_EQ(run.monitor, base.monitor);
-    EXPECT_EQ(run.stats, base.stats);
-    EXPECT_EQ(run.virtual_time, base.virtual_time);
-    EXPECT_EQ(run.events, base.events);
+    ExpectSameRun(RunFig(discipline, shards, items, stages), base);
+  }
+}
+
+// 64 chains, depth 4: every shard worker records metrics, monitor flows and
+// telemetry samples concurrently (the TSan build checks the per-shard slots
+// are race-free), and the merged reads must still match the 1-shard run.
+TEST_P(ShardMatrix, ManyChainsObserversAreShardCountInvariant) {
+  const Discipline discipline = GetParam();
+  const int chains = 64;
+  const int items = 12;
+  FigRun base = RunFig(discipline, 1, items, /*stages=*/4, chains);
+  ASSERT_EQ(base.output.size(), static_cast<size_t>(chains * items));
+  for (int shards : {2, 4, 8}) {
+    SCOPED_TRACE(std::string(DisciplineName(discipline)) +
+                 " shards=" + std::to_string(shards));
+    ExpectSameRun(RunFig(discipline, shards, items, /*stages=*/4, chains), base);
   }
 }
 
@@ -236,6 +297,9 @@ TEST(ShardedKernel, SetShardsRequiresQuiescence) {
   EXPECT_FALSE(kernel.set_shards(4));
   EXPECT_EQ(kernel.shard_count(), 1);
   EXPECT_TRUE(kernel.Run());
+  // Per-shard observer tables are fixed-size: no more than kMaxShards.
+  EXPECT_FALSE(kernel.set_shards(kMaxShards + 1));
+  EXPECT_EQ(kernel.shard_count(), 1);
   EXPECT_TRUE(kernel.set_shards(4));
   EXPECT_EQ(kernel.shard_count(), 4);
   // The repartitioned kernel still runs pipelines correctly.
@@ -298,6 +362,77 @@ TEST(ShardedKernel, DoctorSurfacesShardCounters) {
   const ValueList* shard_rows = diagnosis_value.Field("shards").AsList();
   ASSERT_NE(shard_rows, nullptr);
   EXPECT_EQ(shard_rows->size(), 4u);
+}
+
+// A stage that claims to have served items it never produced: each claim is
+// an inline flow-conservation violation, raised on whichever shard worker
+// owns the stage's node.
+class MisreportingStage : public Eject {
+ public:
+  MisreportingStage(Kernel& kernel, Tick first, Tick every)
+      : Eject(kernel, "MisreportingStage"), first_(first), every_(every) {}
+  void OnStart() override { Spawn(Misreport()); }
+
+ private:
+  Task<void> Misreport() {
+    co_await Sleep(first_);
+    for (int i = 0; i < 3; ++i) {
+      if (InvariantMonitor* monitor = kernel().monitor()) {
+        monitor->OnServed(uid(), kernel().now(), 1);
+      }
+      co_await Sleep(every_);
+    }
+  }
+
+  Tick first_;
+  Tick every_;
+};
+
+struct ViolationRun {
+  std::string trace;
+  std::string monitor;
+  size_t violations = 0;
+};
+
+ViolationRun RunWithMisreports(int shards) {
+  KernelOptions kernel_options;
+  kernel_options.shards = shards;
+  Kernel kernel(kernel_options);
+  TraceRecorder trace;
+  InvariantMonitor monitor;
+  kernel.set_tracer(trace.Hook());
+  monitor.set_trace_sink(trace.Hook());
+  kernel.set_monitor(&monitor);
+
+  PipelineOptions options;
+  options.discipline = Discipline::kReadOnly;
+  options.distinct_nodes = true;
+  PipelineHandle handle = BuildPipeline(kernel, MakeLines(80), CopyChain(4), options);
+  handle.LabelAll(trace);
+  handle.LabelAll(monitor);
+  for (int i = 0; i < 3; ++i) {
+    NodeId node = kernel.AddNode("liar" + std::to_string(i));
+    MisreportingStage& liar =
+        kernel.Create<MisreportingStage>(node, Tick{40 + 25 * i}, Tick{60});
+    trace.Label(liar.uid(), "liar" + std::to_string(i));
+    monitor.Label(liar.uid(), "liar" + std::to_string(i));
+  }
+  EXPECT_TRUE(kernel.Run());
+
+  ViolationRun run;
+  run.trace = SerializeTrace(trace);
+  run.monitor = monitor.ToString();
+  run.violations = monitor.violations().size();
+  return run;
+}
+
+TEST(ShardedKernel, InlineViolationsAreTracedInShardCountInvariantOrder) {
+  ViolationRun base = RunWithMisreports(/*shards=*/1);
+  ASSERT_EQ(base.violations, 9u) << base.monitor;
+  ViolationRun sharded = RunWithMisreports(/*shards=*/4);
+  EXPECT_EQ(sharded.violations, base.violations);
+  EXPECT_EQ(sharded.trace, base.trace);
+  EXPECT_EQ(sharded.monitor, base.monitor);
 }
 
 // Deep multi-node soak: the shape bench_scale measures, shrunk so the whole
