@@ -314,6 +314,7 @@ class Kernel {
   // Optional message tracing (zero cost when unset): the hook observes
   // every invocation and reply at send time. See src/eden/trace.h.
   void set_tracer(Tracer tracer) { tracer_ = std::move(tracer); }
+  const Tracer& tracer() const { return tracer_; }
 
   // Optional metrics (nullptr = none, the default; the recording sites cost
   // one pointer test, mirroring the unset-tracer fast path). Not owned; must

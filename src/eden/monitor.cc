@@ -50,7 +50,11 @@ void InvariantMonitor::Report(Violation::Kind kind, Tick at, const Uid& stage,
 }
 
 void InvariantMonitor::Publish(Violation violation) {
-  if (trace_sink_) {
+  // SLO firings and shard races were traced by the engine that caught them;
+  // the ledger records them, the trace keeps one line each.
+  const bool handed_over = violation.kind == Violation::Kind::kSlo ||
+                           violation.kind == Violation::Kind::kShardRace;
+  if (trace_sink_ && !handed_over) {
     TraceEvent event;
     event.kind = TraceEvent::Kind::kViolation;
     event.at = violation.at;

@@ -143,11 +143,12 @@ class InvariantMonitor {
   // ---- SLO feed. A fired alert rule (slo.h) joins the violation stream as
   // kind kSlo: `at` is the end tick of the window that completed the
   // sustain streak; `stage` is usually nil (rules watch global series).
+  // The SLO engine traces the firing itself, so it is not traced again here.
   void OnSloViolation(Tick at, const Uid& stage, std::string detail);
   // ---- Determinism-audit feed. The ShardRaceAnalyzer's happens-before
   // breaches join the violation stream as kind kShardRace: `at` is the
   // offending event's virtual time; `stage` is nil (the breach belongs to
-  // the shard schedule, not to one Eject).
+  // the shard schedule, not to one Eject). Traced by the analyzer, not here.
   void OnShardRace(Tick at, const Uid& stage, std::string detail);
 
   // ---- Expectations, checked by Check().
@@ -174,7 +175,8 @@ class InvariantMonitor {
   uint64_t invocations_of(std::string_view op) const;
 
   // Violations are also emitted as TraceEvent::Kind::kViolation into this
-  // sink (e.g. a TraceRecorder::Hook()) as they are detected.
+  // sink (e.g. a TraceRecorder::Hook()) as they are detected; handed-over
+  // SLO firings and shard races are not, their engines trace them.
   void set_trace_sink(Tracer sink) { trace_sink_ = std::move(sink); }
 
   void Label(const Uid& uid, std::string name);

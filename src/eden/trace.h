@@ -78,7 +78,6 @@ class TraceRecorder {
   // Names a lifeline (unnamed Ejects render as short UIDs).
   void Label(const Uid& uid, std::string name);
   std::string NameOf(const Uid& uid) const;
-  const std::map<Uid, std::string>& labels() const { return labels_; }
 
   const std::deque<TraceEvent>& events() const { return events_; }
   size_t size() const {

@@ -1,7 +1,10 @@
 #include "src/shell/shell.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <string_view>
 #include <utility>
 
 #include <fstream>
@@ -83,9 +86,48 @@ ShellResult SaveText(const std::string& path, const std::string& text,
   return result;
 }
 
+// The commands with their own code in RunControl; `help` lists them ahead
+// of the instrument table.
+struct Command {
+  std::string_view name;
+  std::string_view usage;
+  std::string_view help;
+};
+constexpr Command kCommands[] = {
+    {"stats", "stats [json]", "kernel counters"},
+    {"shards", "shards [N]", "show / set kernel shard count"},
+    {"doctor", "doctor [json]|doctor save FILE",
+     "bottleneck + parallel + telemetry verdict"},
+    {"slo", "slo add NAME SERIES CMP THRESHOLD [for N]|list|clear",
+     "alert rules over telemetry series"},
+    {"lint", "lint [json|rules]", "static pipeline checks"},
+};
+// `help` pads usages to this column; longer ones get two spaces.
+constexpr size_t kHelpColumn = 44;
+
+// The shell's `instrument` when it is the kernel's installed hook, else
+// nullptr: on/off state is read from the kernel, never shadowed.
+template <typename Hook, typename T>
+T* Installed(Hook* hook, T& instrument) {
+  return hook == &instrument ? &instrument : nullptr;
+}
+
 }  // namespace
 
-EdenShell::EdenShell(Kernel& kernel, HostFs* host) : kernel_(kernel), host_(host) {}
+EdenShell::EdenShell(Kernel& kernel, HostFs* host) : kernel_(kernel), host_(host) {
+  // Every violation reporter writes its kViolation events into the shell's
+  // trace ring and hands its violations to the monitor's ledger; SLO rules
+  // run on the sampler. The wiring is fixed, so it does not depend on which
+  // instrument comes on first.
+  Tracer sink = recorder_.Hook();
+  monitor_.set_trace_sink(sink);
+  lockdep_.set_trace_sink(sink);
+  audit_.set_trace_sink(sink);
+  slo_.set_trace_sink(sink);
+  audit_.set_monitor(&monitor_);
+  slo_.set_monitor(&monitor_);
+  telemetry_.set_slo(&slo_);
+}
 
 std::optional<Uid> EdenShell::Resolve(const std::string& name) const {
   auto it = bindings_.find(name);
@@ -174,18 +216,231 @@ bool EdenShell::Parse(const std::string& input, std::vector<Stage>& stages,
 }
 
 void EdenShell::LabelStage(const Uid& uid, const std::string& name) {
-  if (trace_on_) {
-    recorder_.Label(uid, name);
+  recorder_.Label(uid, name);
+  metrics_.Label(uid, name);
+  monitor_.Label(uid, name);
+  telemetry_.Label(uid, name);
+}
+
+// An instrument is a kernel hook plus the verbs that read it. The generic
+// dispatcher (RunInstrument) gives every entry on|off|show|json|clear and
+// `save FILE` (the json, written by SaveText); `help` and the usage errors
+// are derived from the same entries. On/off state lives in the kernel.
+struct EdenShell::Instrument {
+  std::string_view name;
+  std::string_view help;
+  // Installs (on) or removes (off) the shell's instrument as the kernel hook.
+  void (*attach)(EdenShell&, bool on);
+  std::string (*show)(EdenShell&);
+  std::string (*json)(EdenShell&);
+  void (*clear)(EdenShell&);
+  // `show` appends this line when it is not empty.
+  std::string (*verdict)(EdenShell&) = nullptr;
+  // `on ARG`: a positive count passed to `configure` before attaching.
+  std::string_view on_arg = {};
+  std::string_view on_arg_rule = {};
+  void (*configure)(EdenShell&, uint64_t) = nullptr;
+  // One extra verb beyond the generic ones.
+  std::string_view extra_verb = {};
+  ShellResult (*extra)(EdenShell&) = nullptr;
+
+  std::string Usage() const {
+    std::string usage = std::string(name) + " on";
+    if (!on_arg.empty()) {
+      usage += " [" + std::string(on_arg) + "]";
+    }
+    usage += "|off|show|json";
+    if (!extra_verb.empty()) {
+      usage += "|" + std::string(extra_verb);
+    }
+    return usage + "|clear|save FILE";
   }
-  if (metrics_on_) {
-    metrics_.Label(uid, name);
+};
+
+const std::vector<EdenShell::Instrument>& EdenShell::Instruments() {
+  static const std::vector<Instrument> instruments = {
+      {.name = "trace",
+       .help = "span recorder (default ring 65536)",
+       .attach =
+           [](EdenShell& s, bool on) {
+             if (on && s.recorder_.capacity() == 0) {
+               s.recorder_.set_capacity(kDefaultTraceCapacity);
+             }
+             s.kernel_.set_tracer(on ? s.recorder_.Hook() : Tracer());
+           },
+       .show = [](EdenShell& s) { return s.recorder_.Render(); },
+       .json =
+           [](EdenShell& s) {
+             // Counter tracks ride along when the sampler is on, so the
+             // series graph next to the spans in Perfetto.
+             ChromeTraceExporter exporter(s.recorder_);
+             exporter.set_telemetry(
+                 Installed(s.kernel_.telemetry(), s.telemetry_));
+             return exporter.Export();
+           },
+       .clear = [](EdenShell& s) { s.recorder_.Clear(); },
+       .on_arg = "CAP",
+       .on_arg_rule = "positive integer",
+       .configure = [](EdenShell& s, uint64_t capacity) {
+         s.recorder_.set_capacity(capacity);
+       }},
+      {.name = "metrics",
+       .help = "latency/queue metrics",
+       .attach =
+           [](EdenShell& s, bool on) {
+             s.kernel_.set_metrics(on ? &s.metrics_ : nullptr);
+           },
+       .show = [](EdenShell& s) { return s.metrics_.ToString(); },
+       .json = [](EdenShell& s) { return s.metrics_.ToJson(); },
+       .clear = [](EdenShell& s) { s.metrics_.Clear(); }},
+      {.name = "monitor",
+       .help = "online invariant checks",
+       .attach =
+           [](EdenShell& s, bool on) {
+             s.kernel_.set_monitor(on ? &s.monitor_ : nullptr);
+           },
+       .show = [](EdenShell& s) { return s.monitor_.ToString(); },
+       .json = [](EdenShell& s) { return ValueToJson(s.monitor_.ToValue()); },
+       .clear = [](EdenShell& s) { s.monitor_.Clear(); }},
+      {.name = "profile",
+       .help = "wall-clock shard profiler (Perfetto)",
+       .attach =
+           [](EdenShell& s, bool on) {
+             s.kernel_.set_profiler(on ? &s.profiler_ : nullptr);
+           },
+       .show = [](EdenShell& s) { return s.profiler_.ToString(); },
+       .json =
+           [](EdenShell& s) {
+             return ShardProfileExporter(s.profiler_).Export();
+           },
+       .clear = [](EdenShell& s) { s.profiler_.Clear(); },
+       .verdict =
+           [](EdenShell& s) {
+             ParallelVerdict verdict = DiagnoseParallel(s.profiler_);
+             return verdict.valid ? verdict.ToLine() : std::string();
+           }},
+      {.name = "telemetry",
+       .help = "windowed time-series + heavy hitters",
+       .attach =
+           [](EdenShell& s, bool on) {
+             s.kernel_.set_telemetry(on ? &s.telemetry_ : nullptr);
+           },
+       .show = [](EdenShell& s) { return s.telemetry_.ToString(); },
+       .json = [](EdenShell& s) { return s.telemetry_.ToJson(); },
+       .clear = [](EdenShell& s) { s.telemetry_.Clear(); },
+       .verdict =
+           [](EdenShell& s) {
+             TelemetryVerdict verdict = DiagnoseTelemetry(s.telemetry_);
+             return verdict.valid ? verdict.ToLine() : std::string();
+           },
+       .on_arg = "CADENCE",
+       .on_arg_rule = "positive ticks per window",
+       .configure =
+           [](EdenShell& s, uint64_t cadence) {
+             TelemetrySampler::Options options = s.telemetry_.options();
+             options.cadence = static_cast<Tick>(cadence);
+             s.telemetry_.Reset(options);
+           },
+       .extra_verb = "topk",
+       .extra =
+           [](EdenShell& s) {
+             ShellResult result;
+             auto push_top =
+                 [&result](const std::string& title,
+                           const std::vector<TelemetrySampler::TopEntry>& top,
+                           uint64_t total) {
+                   std::ostringstream out;
+                   out << title << " (of " << total << "):";
+                   if (top.empty()) {
+                     out << " none";
+                   }
+                   for (const TelemetrySampler::TopEntry& entry : top) {
+                     out << " " << entry.name << "=" << entry.count;
+                     if (entry.error > 0) {
+                       out << "(-" << entry.error << ")";
+                     }
+                   }
+                   result.output.push_back(out.str());
+                 };
+             push_top("top stages by invocations", s.telemetry_.TopInvocations(),
+                      s.telemetry_.invocation_total());
+             push_top("top queues by hiwat hits", s.telemetry_.TopHiwat(),
+                      s.telemetry_.hiwat_total());
+             return result;
+           }},
+      {.name = "lockdep",
+       .help = "lock-order analysis",
+       .attach =
+           [](EdenShell& s, bool on) {
+             s.kernel_.set_lock_observer(on ? &s.lockdep_ : nullptr);
+           },
+       .show = [](EdenShell& s) { return s.lockdep_.ToString(); },
+       .json = [](EdenShell& s) { return ValueToJson(s.lockdep_.ToValue()); },
+       .clear = [](EdenShell& s) { s.lockdep_.Clear(); },
+       .extra_verb = "selftest",
+       .extra =
+           [](EdenShell&) {
+             ShellResult result;
+             std::string report;
+             result.ok = verify::LockOrderAnalyzer::SelfTest(&report);
+             PushLines(result, report);
+             result.output.push_back(result.ok ? "selftest passed"
+                                               : "selftest FAILED");
+             return result;
+           }},
+      {.name = "audit",
+       .help = "cross-shard determinism audit + run certificate",
+       .attach =
+           [](EdenShell& s, bool on) {
+             s.kernel_.set_auditor(on ? &s.audit_ : nullptr);
+           },
+       .show = [](EdenShell& s) { return s.audit_.ToString(); },
+       .json = [](EdenShell& s) { return s.audit_.ToJson(); },
+       .clear = [](EdenShell& s) { s.audit_.Clear(); }},
+  };
+  return instruments;
+}
+
+ShellResult EdenShell::RunInstrument(const Instrument& instrument,
+                                     const std::vector<std::string>& words) {
+  const std::string name(instrument.name);
+  const std::string verb = words.size() > 1 ? words[1] : "show";
+  if (verb == "save" && words.size() == 3) {
+    return SaveText(words[2], instrument.json(*this), name);
   }
-  if (monitor_on_) {
-    monitor_.Label(uid, name);
+  if (verb == "on" && words.size() == 3 && instrument.configure != nullptr) {
+    std::optional<uint64_t> value = ParseCount(words[2]);
+    const std::string arg(instrument.on_arg);
+    if (!value || *value == 0) {
+      return Fail("usage: " + name + " on [" + arg + "]  (" + arg + ": " +
+                  std::string(instrument.on_arg_rule) + ")");
+    }
+    instrument.configure(*this, *value);
+  } else if (words.size() > 2) {
+    return Fail("usage: " + instrument.Usage());
   }
-  if (telemetry_on_) {
-    telemetry_.Label(uid, name);
+  ShellResult result;
+  if (verb == "on" || verb == "off") {
+    instrument.attach(*this, verb == "on");
+    result.output.push_back(name + " " + verb);
+  } else if (verb == "show") {
+    PushLines(result, instrument.show(*this));
+    if (instrument.verdict != nullptr) {
+      if (std::string line = instrument.verdict(*this); !line.empty()) {
+        result.output.push_back(std::move(line));
+      }
+    }
+  } else if (verb == "json") {
+    PushLines(result, instrument.json(*this));
+  } else if (verb == "clear") {
+    instrument.clear(*this);
+    result.output.push_back(name + " cleared");
+  } else if (instrument.extra != nullptr && verb == instrument.extra_verb) {
+    return instrument.extra(*this);
+  } else {
+    return Fail("usage: " + instrument.Usage());
   }
+  return result;
 }
 
 std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
@@ -195,47 +450,46 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
   while (stream >> word) {
     words.push_back(word);
   }
-  if (words.empty() ||
-      (words[0] != "stats" && words[0] != "trace" && words[0] != "metrics" &&
-       words[0] != "monitor" && words[0] != "doctor" && words[0] != "lint" &&
-       words[0] != "lockdep" && words[0] != "audit" && words[0] != "shards" &&
-       words[0] != "profile" && words[0] != "telemetry" && words[0] != "slo" &&
-       words[0] != "help")) {
+  if (words.empty()) {
     return std::nullopt;
+  }
+  for (const Instrument& instrument : Instruments()) {
+    if (words[0] == instrument.name) {
+      return RunInstrument(instrument, words);
+    }
   }
   ShellResult result;
   if (words[0] == "help") {
-    result.output = {
-        "pipelines:  SOURCE | FILTER ... | SINK   (see shell.h for stages)",
-        "stats [json]                      kernel counters",
-        "shards [N]                        show / set kernel shard count",
-        "trace on [CAP]|off|show|json|clear|save FILE   span recorder "
-        "(default ring 65536)",
-        "metrics on|off|show|json|clear|save FILE       latency/queue "
-        "metrics",
-        "monitor on|off|show|json|clear    online invariant checks",
-        "profile on|off|show|json|clear|save FILE       wall-clock shard "
-        "profiler (Perfetto)",
-        "doctor [json]|doctor save FILE    bottleneck + parallel + telemetry "
-        "verdict",
-        "telemetry on [CADENCE]|off|show|json|topk|clear|save FILE  windowed "
-        "time-series + heavy hitters",
-        "slo add SPEC|list|clear           alert rules over telemetry series "
-        "(NAME SERIES CMP THRESHOLD [for N])",
-        "lint [json|rules]                 static pipeline checks",
-        "lockdep on|off|show|json|clear|selftest        lock-order analysis",
-        "audit on|off|show|json|clear|save FILE         cross-shard "
-        "determinism audit + run certificate",
+    result.output.push_back(
+        "pipelines:  SOURCE | FILTER ... | SINK   (see shell.h for stages)");
+    auto add = [&result](std::string usage, std::string_view help) {
+      usage.resize(std::max(usage.size(), kHelpColumn) + 2, ' ');
+      result.output.push_back(usage + std::string(help));
     };
+    for (const Command& command : kCommands) {
+      add(std::string(command.usage), command.help);
+    }
+    for (const Instrument& instrument : Instruments()) {
+      add(instrument.Usage(), instrument.help);
+    }
     return result;
   }
+  const Command* builtin =
+      std::find_if(std::begin(kCommands), std::end(kCommands),
+                   [&words](const Command& c) { return c.name == words[0]; });
+  if (builtin == std::end(kCommands)) {
+    return std::nullopt;
+  }
+  auto usage = [builtin](const std::string& note = "") {
+    return Fail("usage: " + std::string(builtin->usage) + note);
+  };
   if (words[0] == "stats") {
     if (words.size() == 2 && words[1] == "json") {
       PushLines(result, ValueToJson(kernel_.stats().ToValue()));
     } else if (words.size() == 1) {
       result.output.push_back(kernel_.stats().ToString());
     } else {
-      return Fail("usage: stats [json]");
+      return usage();
     }
     return result;
   }
@@ -255,104 +509,15 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
       result.output.push_back(out.str());
       return result;
     }
-    if (words.size() == 2) {
-      std::optional<uint64_t> count = ParseCount(words[1]);
-      if (!count || *count == 0) {
-        return Fail("usage: shards [N]  (N: positive integer)");
-      }
-      if (!kernel_.set_shards(static_cast<int>(*count))) {
-        return Fail("shards: kernel is not quiescent (drain pipelines first)");
-      }
-      result.output.push_back("shards: " + std::to_string(*count));
-      return result;
+    std::optional<uint64_t> count =
+        words.size() == 2 ? ParseCount(words[1]) : std::nullopt;
+    if (!count || *count == 0) {
+      return usage("  (N: positive integer)");
     }
-    return Fail("usage: shards [N]  (N: positive integer)");
-  }
-  if (words[0] == "trace") {
-    if (words.size() >= 2 && words[1] == "on" && words.size() <= 3) {
-      if (words.size() == 3) {
-        std::optional<uint64_t> capacity = ParseCount(words[2]);
-        if (!capacity || *capacity == 0) {
-          return Fail("usage: trace on [CAP]  (CAP: positive integer)");
-        }
-        recorder_.set_capacity(*capacity);
-      } else if (recorder_.capacity() == 0) {
-        recorder_.set_capacity(kDefaultTraceCapacity);
-      }
-      kernel_.set_tracer(recorder_.Hook());
-      trace_on_ = true;
-      result.output.push_back("trace on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_tracer(Tracer());
-      trace_on_ = false;
-      result.output.push_back("trace off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, recorder_.Render());
-    } else if ((words.size() == 2 && words[1] == "json") ||
-               (words.size() == 3 && words[1] == "save")) {
-      // Counter tracks ride along when the sampler is on, so the series
-      // graph next to the spans in Perfetto.
-      ChromeTraceExporter exporter(recorder_);
-      if (telemetry_on_) {
-        exporter.set_telemetry(&telemetry_);
-      }
-      if (words[1] == "save") {
-        return SaveText(words[2], exporter.Export(), "trace");
-      }
-      PushLines(result, exporter.Export());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      recorder_.Clear();
-      result.output.push_back("trace cleared");
-    } else {
-      return Fail("usage: trace on [CAP]|off|show|json|clear|save FILE");
+    if (!kernel_.set_shards(static_cast<int>(*count))) {
+      return Fail("shards: kernel is not quiescent (drain pipelines first)");
     }
-    return result;
-  }
-  if (words[0] == "metrics") {
-    if (words.size() == 2 && words[1] == "on") {
-      kernel_.set_metrics(&metrics_);
-      metrics_on_ = true;
-      result.output.push_back("metrics on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_metrics(nullptr);
-      metrics_on_ = false;
-      result.output.push_back("metrics off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, metrics_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, metrics_.ToJson());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      metrics_.Clear();
-      result.output.push_back("metrics cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], metrics_.ToJson(), "metrics");
-    } else {
-      return Fail("usage: metrics on|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "monitor") {
-    if (words.size() == 2 && words[1] == "on") {
-      // Violations double as trace events, so a trace taken alongside the
-      // monitor shows *where* in the causal history the invariant broke.
-      monitor_.set_trace_sink(recorder_.Hook());
-      kernel_.set_monitor(&monitor_);
-      monitor_on_ = true;
-      result.output.push_back("monitor on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_monitor(nullptr);
-      monitor_on_ = false;
-      result.output.push_back("monitor off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, monitor_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, ValueToJson(monitor_.ToValue()));
-    } else if (words.size() == 2 && words[1] == "clear") {
-      monitor_.Clear();
-      result.output.push_back("monitor cleared");
-    } else {
-      return Fail("usage: monitor on|off|show|json|clear");
-    }
+    result.output.push_back("shards: " + std::to_string(*count));
     return result;
   }
   if (words[0] == "lint") {
@@ -376,159 +541,7 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
     } else if (words.size() == 1) {
       PushLines(result, last_lint_.ToString());
     } else {
-      return Fail("usage: lint [json|rules]");
-    }
-    return result;
-  }
-  if (words[0] == "lockdep") {
-    if (words.size() == 2 && words[1] == "on") {
-      // Violations double as trace events (same contract as the monitor).
-      lockdep_.set_trace_sink(recorder_.Hook());
-      kernel_.set_lock_observer(&lockdep_);
-      lockdep_on_ = true;
-      result.output.push_back("lockdep on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_lock_observer(nullptr);
-      lockdep_on_ = false;
-      result.output.push_back("lockdep off");
-    } else if (words.size() == 1 ||
-               (words.size() == 2 && words[1] == "show")) {
-      PushLines(result, lockdep_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, ValueToJson(lockdep_.ToValue()));
-    } else if (words.size() == 2 && words[1] == "clear") {
-      lockdep_.Clear();
-      result.output.push_back("lockdep cleared");
-    } else if (words.size() == 2 && words[1] == "selftest") {
-      std::string report;
-      bool passed = verify::LockOrderAnalyzer::SelfTest(&report);
-      PushLines(result, report);
-      result.output.push_back(passed ? "selftest passed" : "selftest FAILED");
-      if (!passed) {
-        result.ok = false;
-      }
-    } else {
-      return Fail("usage: lockdep on|off|show|json|clear|selftest");
-    }
-    return result;
-  }
-  if (words[0] == "audit") {
-    if (words.size() == 2 && words[1] == "on") {
-      // Breaches double as trace events and monitor violations (same
-      // contract as lockdep and the SLO engine).
-      audit_.set_trace_sink(recorder_.Hook());
-      audit_.set_monitor(monitor_on_ ? &monitor_ : nullptr);
-      kernel_.set_auditor(&audit_);
-      audit_on_ = true;
-      result.output.push_back("audit on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_auditor(nullptr);
-      audit_on_ = false;
-      result.output.push_back("audit off");
-    } else if (words.size() == 1 || (words.size() == 2 && words[1] == "show")) {
-      PushLines(result, audit_.ToString());
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, audit_.ToJson());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      audit_.Clear();
-      result.output.push_back("audit cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], audit_.ToJson(), "audit");
-    } else {
-      return Fail("usage: audit on|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "profile") {
-    if (words.size() == 2 && words[1] == "on") {
-      kernel_.set_profiler(&profiler_);
-      profile_on_ = true;
-      result.output.push_back("profile on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_profiler(nullptr);
-      profile_on_ = false;
-      result.output.push_back("profile off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, profiler_.ToString());
-      ParallelVerdict verdict = DiagnoseParallel(profiler_);
-      if (verdict.valid) {
-        result.output.push_back(verdict.ToLine());
-      }
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, ShardProfileExporter(profiler_).Export());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      profiler_.Clear();
-      result.output.push_back("profile cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], ShardProfileExporter(profiler_).Export(),
-                      "profile");
-    } else {
-      return Fail("usage: profile on|off|show|json|clear|save FILE");
-    }
-    return result;
-  }
-  if (words[0] == "telemetry") {
-    if (words.size() >= 2 && words[1] == "on" && words.size() <= 3) {
-      if (words.size() == 3) {
-        std::optional<uint64_t> cadence = ParseCount(words[2]);
-        if (!cadence || *cadence == 0) {
-          return Fail("usage: telemetry on [CADENCE]  (CADENCE: positive "
-                      "ticks per window)");
-        }
-        TelemetrySampler::Options options = telemetry_.options();
-        options.cadence = static_cast<Tick>(*cadence);
-        telemetry_.Reset(options);
-      }
-      // Alert firings join the trace (kViolation events next to the spans
-      // that caused them) and the monitor's violation ledger.
-      telemetry_.set_slo(&slo_);
-      slo_.set_trace_sink(recorder_.Hook());
-      slo_.set_monitor(&monitor_);
-      kernel_.set_telemetry(&telemetry_);
-      telemetry_on_ = true;
-      result.output.push_back("telemetry on");
-    } else if (words.size() == 2 && words[1] == "off") {
-      kernel_.set_telemetry(nullptr);
-      telemetry_on_ = false;
-      result.output.push_back("telemetry off");
-    } else if (words.size() == 2 && words[1] == "show") {
-      PushLines(result, telemetry_.ToString());
-      TelemetryVerdict verdict = DiagnoseTelemetry(telemetry_);
-      if (verdict.valid) {
-        result.output.push_back(verdict.ToLine());
-      }
-    } else if (words.size() == 2 && words[1] == "json") {
-      PushLines(result, telemetry_.ToJson());
-    } else if (words.size() == 2 && words[1] == "topk") {
-      auto push_top = [&result](const std::string& title,
-                                const std::vector<TelemetrySampler::TopEntry>&
-                                    top,
-                                uint64_t total) {
-        std::ostringstream out;
-        out << title << " (of " << total << "):";
-        if (top.empty()) {
-          out << " none";
-        }
-        for (const TelemetrySampler::TopEntry& entry : top) {
-          out << " " << entry.name << "=" << entry.count;
-          if (entry.error > 0) {
-            out << "(-" << entry.error << ")";
-          }
-        }
-        result.output.push_back(out.str());
-      };
-      push_top("top stages by invocations", telemetry_.TopInvocations(),
-               telemetry_.invocation_total());
-      push_top("top queues by hiwat hits", telemetry_.TopHiwat(),
-               telemetry_.hiwat_total());
-    } else if (words.size() == 2 && words[1] == "clear") {
-      telemetry_.Clear();
-      result.output.push_back("telemetry cleared");
-    } else if (words.size() == 3 && words[1] == "save") {
-      return SaveText(words[2], telemetry_.ToJson(), "telemetry");
-    } else {
-      return Fail(
-          "usage: telemetry on [CADENCE]|off|show|json|topk|clear|save FILE");
+      return usage();
     }
     return result;
   }
@@ -549,20 +562,19 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
       slo_.Clear();
       result.output.push_back("slo cleared");
     } else {
-      return Fail(
-          "usage: slo add NAME SERIES CMP THRESHOLD [for N]|list|clear");
+      return usage();
     }
     return result;
   }
   // doctor
-  if (!trace_on_ && recorder_.size() == 0) {
+  if (!kernel_.tracer() && recorder_.size() == 0) {
     result.output.push_back(
         "no trace recorder installed — run `trace on` first");
     return result;
   }
-  PipelineDoctor doctor(recorder_, metrics_on_ ? &metrics_ : nullptr,
-                        profile_on_ ? &profiler_ : nullptr,
-                        telemetry_on_ ? &telemetry_ : nullptr);
+  PipelineDoctor doctor(recorder_, Installed(kernel_.metrics(), metrics_),
+                        Installed(kernel_.profiler(), profiler_),
+                        Installed(kernel_.telemetry(), telemetry_));
   auto diagnose = [&] {
     Diagnosis d = doctor.Diagnose();
     if (have_topology_) {
@@ -571,7 +583,7 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
       d.AnnotateStatic(last_lint_.error_count(), last_lint_.warning_count(),
                        last_lint_.Summary());
     }
-    if (audit_on_) {
+    if (Installed(kernel_.auditor(), audit_) != nullptr) {
       verify::RunDigest digest = audit_.Digest();
       char hex[19];
       std::snprintf(hex, sizeof(hex), "0x%016llx",
@@ -587,7 +599,7 @@ std::optional<ShellResult> EdenShell::RunControl(const std::string& command) {
   } else if (words.size() == 3 && words[1] == "save") {
     return SaveText(words[2], ValueToJson(diagnose().ToValue()), "doctor");
   } else {
-    return Fail("usage: doctor [json]|doctor save FILE");
+    return usage();
   }
   return result;
 }
@@ -596,7 +608,7 @@ void EdenShell::LintTopology(verify::TopologySpec topology) {
   last_topology_ = std::move(topology);
   have_topology_ = true;
   last_lint_ = verify::PipelineLinter().Lint(last_topology_);
-  if (monitor_on_) {
+  if (Installed(kernel_.monitor(), monitor_) != nullptr) {
     for (const verify::LintDiagnostic& diag : last_lint_.diagnostics) {
       if (diag.severity == verify::Severity::kError) {
         monitor_.OnStaticFinding(

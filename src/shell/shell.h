@@ -77,65 +77,14 @@ class EdenShell {
 
   // Parses and runs one pipeline to completion (bounded by max_events).
   //
-  // Besides pipelines, the shell understands observability commands:
-  //   stats [json]             kernel counters since boot
-  //   trace on [CAP]|off       install/remove the shell's TraceRecorder
-  //                            (CAP bounds the event ring; default 65536)
-  //   trace show|json|clear    ASCII chart / Chrome trace JSON / reset
-  //   metrics on|off           install/remove the shell's MetricsRegistry
-  //   metrics show|json|clear  human-readable / JSON snapshot / reset
-  //   monitor on|off           install/remove the InvariantMonitor (its
-  //                            violations also land in the trace as events)
-  //   monitor show|json|clear  flow table + violations / JSON / reset
-  //   doctor [json]            PipelineDoctor diagnosis of the recorded
-  //                            trace (+ metrics / profile when on): critical
-  //                            path, bottleneck verdict, per-stage
-  //                            attribution, parallel wall-clock verdict
-  //   profile on|off           install/remove the wall-clock ShardProfiler
-  //                            (host-time phases per shard window; output
-  //                            stays byte-identical while it is on)
-  //   profile show             per-shard phase totals + parallel verdict
-  //   profile json|clear       Perfetto JSON (wall-clock tracks) / reset
-  //   profile save FILE        write the Perfetto JSON to FILE
-  //   trace save FILE          write the Chrome trace JSON to FILE
-  //                            (telemetry counter tracks ride along when the
-  //                            sampler is on)
-  //   metrics save FILE        write the metrics snapshot JSON to FILE
-  //   doctor save FILE         write the diagnosis JSON to FILE
-  //   telemetry on [CADENCE]   install the TelemetrySampler (windowed
-  //                            time-series on the merged observation stream;
-  //                            CADENCE ticks per window, default 1000)
-  //   telemetry off            remove it (series are kept until clear)
-  //   telemetry show|json      time-series tables / byte-stable JSON
-  //   telemetry topk           heavy-hitter tables (hottest stages by
-  //                            invocations, slowest consumers by hiwat hits)
-  //   telemetry clear          drop all series and sketches
-  //   telemetry save FILE      write the telemetry JSON to FILE
-  //   slo add SPEC             add an alert rule over a telemetry series:
-  //                            NAME SERIES CMP THRESHOLD [for N], e.g.
-  //                            `slo add lag rate:invoke > 5000 for 3`
-  //   slo list                 rules and firings
-  //   slo clear                drop rules and firings
-  //   lint [json]              PipelineLinter report for the last pipeline
-  //                            this shell wired (re-lints on every pipeline;
-  //                            errors also join the monitor's violations and
-  //                            the doctor's verdict line)
-  //   lint rules               the rule table (ASC001..) with summaries
-  //   lockdep on|off           install/remove the LockOrderAnalyzer as the
-  //                            kernel's lock observer (violations land in
-  //                            the trace as kViolation events, like monitor)
-  //   lockdep [show|json|clear]  order graph + potential deadlocks / reset
-  //   lockdep selftest         seed an AB/BA inversion through the analyzer
-  //                            and report whether it was caught
-  //   audit on|off             install/remove the ShardRaceAnalyzer as the
-  //                            kernel's determinism auditor (happens-before
-  //                            checker + run-digest certifier; breaches land
-  //                            in the trace and the monitor like lockdep's)
-  //   audit show|json|clear    digest + violations / certificate JSON / reset
-  //   audit save FILE          write the run certificate JSON to FILE
-  //   help                     one line per command above
-  // While tracing, metering or monitoring is on, pipeline stages are labeled
-  // with their command names, so charts read "grep" rather than a raw UID.
+  // Besides pipelines, the shell understands observability commands: `stats`,
+  // `shards`, `doctor`, `slo`, `lint`, and one instrument table (trace,
+  // metrics, monitor, profile, telemetry, lockdep, audit) whose entries all
+  // take `on|off|show|json|clear|save FILE`, bare NAME meaning `show`. `help`
+  // prints every usage line; OBSERVABILITY.md "Shell commands" documents
+  // them. Every pipeline stage is labeled with its command name in the trace
+  // recorder, metrics, monitor and telemetry, so charts read "grep" rather
+  // than a raw UID.
   ShellResult Run(const std::string& command, uint64_t max_events = 2'000'000);
 
   // The shell-owned instruments (live across commands; inspectable in tests).
@@ -167,9 +116,16 @@ class EdenShell {
   bool Parse(const std::string& input, std::vector<Stage>& stages,
              std::string& error);
   ReportWindow& WindowOrCreate(const std::string& name);
-  // Handles stats/trace/metrics; nullopt if `command` is a pipeline.
+  // One entry of the instrument table (shell.cc).
+  struct Instrument;
+  static const std::vector<Instrument>& Instruments();
+
+  // Handles the observability commands; nullopt if `command` is a pipeline.
   std::optional<ShellResult> RunControl(const std::string& command);
-  // Labels `uid` in whichever instruments are currently installed.
+  // The generic verbs every instrument shares, plus its extra verb.
+  ShellResult RunInstrument(const Instrument& instrument,
+                            const std::vector<std::string>& words);
+  // Labels `uid` in the trace recorder, metrics, monitor and telemetry.
   void LabelStage(const Uid& uid, const std::string& name);
 
   // Records the built pipeline as a TopologySpec, lints it, and feeds any
@@ -190,13 +146,6 @@ class EdenShell {
   verify::TopologySpec last_topology_;
   verify::LintReport last_lint_;
   bool have_topology_ = false;
-  bool trace_on_ = false;
-  bool metrics_on_ = false;
-  bool monitor_on_ = false;
-  bool lockdep_on_ = false;
-  bool audit_on_ = false;
-  bool profile_on_ = false;
-  bool telemetry_on_ = false;
   std::map<std::string, Uid> bindings_;
   std::map<std::string, TerminalSink*> terminals_;
   std::map<std::string, PrinterSink*> printers_;

@@ -539,5 +539,96 @@ TEST(ShellTest, SaveCommandsWriteJsonFiles) {
             "telemetry save: cannot open file: /nonexistent-dir/x.json");
 }
 
+// Usage column of a `help` line (the summary follows two or more spaces).
+std::string UsageOf(const std::string& help_line) {
+  return help_line.substr(0, help_line.find("  "));
+}
+
+size_t CountViolationEvents(const TraceRecorder& recorder) {
+  size_t count = 0;
+  for (const TraceEvent& event : recorder.events()) {
+    count += event.kind == TraceEvent::Kind::kViolation ? 1 : 0;
+  }
+  return count;
+}
+
+TEST(ShellTest, SloFiringsAreTracedOnceWithTheMonitorOn) {
+  // The SLO engine traces each firing itself; the monitor records the
+  // handed-over firing in its ledger without tracing it a second time.
+  Kernel kernel;
+  EdenShell shell(kernel);
+  ASSERT_TRUE(shell.Run("trace on").ok);
+  ASSERT_TRUE(shell.Run("monitor on").ok);
+  ASSERT_TRUE(shell.Run("telemetry on 100").ok);
+  ASSERT_TRUE(shell.Run("slo add busy count:invoke >= 1").ok);
+  ASSERT_TRUE(shell.Run("clock | head 2 | collect").ok);
+  ASSERT_GE(shell.slo().firings().size(), 2u);
+  EXPECT_EQ(shell.monitor().violations().size(), shell.slo().firings().size());
+  EXPECT_EQ(CountViolationEvents(shell.recorder()),
+            shell.slo().firings().size());
+}
+
+TEST(ShellTest, AuditOnBeforeMonitorOnStillFeedsTheMonitor) {
+  // Like SLO firings, shard races reach the monitor's ledger whichever
+  // instrument came on first, and land in the trace once.
+  Kernel kernel;
+  EdenShell shell(kernel);
+  ASSERT_TRUE(shell.Run("trace on").ok);
+  ASSERT_TRUE(shell.Run("audit on").ok);
+  ASSERT_TRUE(shell.Run("monitor on").ok);
+  shell.audit().OnCrossShardSend(0, 1, EventKey{5, 1, 1}, 10);  // undercut
+  size_t races = 0;
+  for (const InvariantMonitor::Violation& v : shell.monitor().violations()) {
+    races += v.kind == InvariantMonitor::Violation::Kind::kShardRace ? 1 : 0;
+  }
+  EXPECT_EQ(races, 1u);
+  EXPECT_EQ(CountViolationEvents(shell.recorder()), 1u);
+}
+
+TEST(ShellTest, EveryInstrumentTakesTheUniformVerbs) {
+  Kernel kernel;
+  EdenShell shell(kernel);
+  std::vector<std::string> names;
+  for (const std::string& line : shell.Run("help").output) {
+    std::string usage = UsageOf(line);
+    if (usage.find(" on") != std::string::npos &&
+        usage.find("|off|") != std::string::npos) {
+      names.push_back(usage.substr(0, usage.find(' ')));
+    }
+  }
+  ASSERT_EQ(names.size(), 7u);
+  const std::string path = ::testing::TempDir() + "shell_instrument.json";
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    for (const std::string& command :
+         {name + " on", std::string("echo a b | upper | collect"),
+          name + " show", name + " json", name + " clear",
+          name + " save " + path, name, name + " off"}) {
+      ShellResult r = shell.Run(command);
+      EXPECT_TRUE(r.ok) << command << ": " << r.error;
+    }
+    ShellResult bad = shell.Run(name + " bogus");
+    EXPECT_FALSE(bad.ok);
+    EXPECT_EQ(bad.error.rfind("usage: " + name, 0), 0u) << bad.error;
+  }
+}
+
+TEST(ShellTest, HelpUsagesAreDocumented) {
+  // EDEN_SOURCE_DIR is stamped by tests/CMakeLists.txt. Every usage `help`
+  // prints must appear verbatim in OBSERVABILITY.md "Shell commands".
+  std::ifstream in(std::string(EDEN_SOURCE_DIR) + "/OBSERVABILITY.md");
+  ASSERT_TRUE(in.is_open()) << "cannot open OBSERVABILITY.md";
+  std::ostringstream doc;
+  doc << in.rdbuf();
+  Kernel kernel;
+  EdenShell shell(kernel);
+  ShellResult help = shell.Run("help");
+  ASSERT_GT(help.output.size(), 1u);
+  for (size_t i = 1; i < help.output.size(); ++i) {  // [0] is the pipelines line
+    std::string usage = UsageOf(help.output[i]);
+    EXPECT_NE(doc.str().find(usage), std::string::npos) << usage;
+  }
+}
+
 }  // namespace
 }  // namespace eden
