@@ -71,7 +71,8 @@ struct PipelineOptions {
   // With distinct_nodes under a sharded kernel: pin every pipeline node to
   // this shard (Kernel::AddNode shard hint), so a chain whose stages only
   // ever talk to their neighbours stops paying a cross-shard hop per edge
-  // (the ASC011 lint points here). -1 = default round-robin placement.
+  // (the ASC011 lint points here). -1 = the kernel's default placement,
+  // which scatters nodes by a mix of their id (src/eden/placement.h).
   // Placement never enters event keys, so output and virtual time are
   // byte-identical either way — only cross_shard_sends drops.
   int partition_shard = -1;

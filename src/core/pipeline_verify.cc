@@ -177,9 +177,9 @@ verify::TopologySpec PlanTopology(size_t stage_count,
   spec.costs = kernel.costs();
   if (options.distinct_nodes) {
     // PlaceNext mints one fresh node per Eject in creation order, which for
-    // every discipline is BuildSpec's position order; relative ids keep the
-    // same shard arithmetic (consecutive nodes -> consecutive shards).
-    NodeId node = 1;
+    // every discipline is BuildSpec's position order, starting at the
+    // kernel's next node id — the ids PlaceNode will scatter at run time.
+    NodeId node = static_cast<NodeId>(kernel.node_count());
     for (verify::StageSpec& stage : spec.stages) {
       stage.node = node++;
       stage.shard_hint = options.partition_shard;

@@ -23,9 +23,9 @@ verify::TopologySpec PlanTopology(size_t stage_count,
 
 // Same plan, with the concurrency context (shard count, configured
 // lookahead, cost model) read off `kernel` and node placement stamped the
-// way the builders will mint it (distinct_nodes: position i -> the (i+1)-th
-// fresh node, shard_hint = options.partition_shard). Arms the ASC010-ASC012
-// shard-safety rules; without a kernel they stay silent.
+// way BuildPipeline will mint it (distinct_nodes: position i -> node
+// kernel.node_count() + i, shard_hint = options.partition_shard). Arms the
+// ASC010-ASC012 shard-safety rules; without a kernel they stay silent.
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options,
                                   const Kernel& kernel);

@@ -280,14 +280,22 @@ Diagnosis PipelineDoctor::Diagnose() const {
   return d;
 }
 
+bool ParallelVerdict::skew_dominates() const {
+  const double excess = window_skew - 1.0;
+  return excess >= 0.25 && excess >= 2.0 * imbalance_pct / 100.0;
+}
+
 std::string ParallelVerdict::ToLine() const {
-  char buf[224];
+  char buf[320];
   std::snprintf(buf, sizeof(buf),
                 "parallel: speedup %.2fx on %d shards (%.0f%% efficient), "
                 "serial fraction %.0f%% (Karp-Flatt), top stall %s, "
-                "imbalance %.0f%%",
+                "imbalance %.0f%%, window skew %.2fx%s",
                 speedup, shards, efficiency * 100, serial_fraction * 100,
-                top_stall.c_str(), imbalance_pct);
+                top_stall.c_str(), imbalance_pct, window_skew,
+                skew_dominates() ? " (placement: each window loads a few "
+                                   "shards; scatter its stages across shards)"
+                                 : "");
   return buf;
 }
 
@@ -300,6 +308,7 @@ Value ParallelVerdict::ToValue() const {
   v.Set("efficiency", Value(efficiency));
   v.Set("serial_fraction", Value(serial_fraction));
   v.Set("imbalance_pct", Value(imbalance_pct));
+  v.Set("window_skew", Value(window_skew));
   v.Set("top_stall", Value(top_stall));
   ValueList rows;
   for (size_t i = 0; i < per_shard.size(); ++i) {
@@ -326,12 +335,14 @@ ParallelVerdict DiagnoseParallel(const ShardProfiler& profiler) {
     return v;  // nothing parallel was profiled
   }
   uint64_t busy = 0, max_busy = 0, drain = 0, stall = 0, barrier = 0;
+  uint64_t bottom = 0;
   for (const ShardProfiler::ShardProfile& p : shards) {
     busy += p.execute_ns;
     max_busy = std::max(max_busy, p.execute_ns);
     drain += p.drain_ns;
     stall += p.stall_ns;
     barrier += p.barrier_ns;
+    bottom += p.bottom_barrier_ns;
     v.windows = std::max(v.windows, p.windows);
     ParallelVerdict::ShardWall w;
     w.windows = p.windows;
@@ -362,6 +373,9 @@ ParallelVerdict DiagnoseParallel(const ShardProfiler& profiler) {
   const double mean = static_cast<double>(busy) / p;
   v.imbalance_pct =
       mean > 0 ? (static_cast<double>(max_busy) - mean) / mean * 100.0 : 0.0;
+  // A stalled execute phase is still that shard's share of the window.
+  const double executing = static_cast<double>(busy + stall);
+  v.window_skew = (executing + static_cast<double>(bottom)) / executing;
   if (drain == 0 && stall == 0 && barrier == 0) {
     v.top_stall = "none";
   } else if (barrier >= drain && barrier >= stall) {
@@ -676,6 +690,12 @@ std::string Diagnosis::ToString() const {
                     w.drain_ms, w.stall_ms, w.barrier_ms);
       out << line;
     }
+    char line[160];
+    std::snprintf(line, sizeof(line),
+                  "  window skew %.2fx (per-window busiest / mean execute)%s\n",
+                  parallel.window_skew,
+                  parallel.skew_dominates() ? " <- placement" : "");
+    out << line;
   }
   if (telemetry.valid) {
     out << "time axis (cadence " << telemetry.cadence << " ticks, "

@@ -94,6 +94,18 @@ struct StageDiagnosis {
 // named so the tuner knows *which* overhead to attack, and imbalance is how
 // far the busiest shard sits above the mean (a placement problem, not a
 // synchronization problem).
+//
+// Imbalance is a whole-run total, so shards that take turns being busy
+// cancel out in it. Window skew measures the same thing per window: the sum
+// over windows of the busiest shard's execute time over the sum of the mean
+// shard's. Every shard leaves the bottom barrier when the window's slowest
+// shard arrives, so a shard's execute time plus its bottom-barrier wait is
+// the busiest shard's execute time in that window, and
+//     skew = sum(execute + bottom wait) / sum(execute)   over all shards,
+// where execute counts stalled execute phases too.
+// 1 means every window loads every shard evenly; p means one shard at a
+// time does all the work. Skew well above the whole-run imbalance points at
+// placement: each window's work lands on a few shards.
 struct ParallelVerdict {
   bool valid = false;
   int shards = 0;
@@ -103,6 +115,7 @@ struct ParallelVerdict {
   double efficiency = 0;       // psi / shards
   double serial_fraction = 0;  // Karp–Flatt e, clamped to [0, 1]
   double imbalance_pct = 0;    // (max shard execute - mean) / mean * 100
+  double window_skew = 0;      // per-window busiest / mean execute, >= 1
   std::string top_stall;       // "barrier-wait" | "mailbox-drain" |
                                // "lookahead-stall" | "none"
 
@@ -117,8 +130,14 @@ struct ParallelVerdict {
   };
   std::vector<ShardWall> per_shard;
 
+  // True when per-window skew, not the whole-run imbalance, is what the
+  // barrier waits on: the busiest shard of a window executes at least a
+  // quarter more than the mean, and at least twice the whole-run excess.
+  bool skew_dominates() const;
+
   // "parallel: speedup 3.1x on 4 shards (78% efficient), serial fraction
-  // 9%, top stall barrier-wait, imbalance 12%"
+  // 9%, top stall barrier-wait, imbalance 12%, window skew 1.08x", plus
+  // " (placement: ...)" when skew_dominates().
   std::string ToLine() const;
   Value ToValue() const;
 };

@@ -37,13 +37,6 @@ constexpr InvocationId MakeInvocationId(NodeId caller_node, uint64_t seq) {
          seq;
 }
 
-uint64_t SplitMix64(uint64_t x) {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
-
 // Node 0 keeps the kernel's classic seed, so single-node runs draw the
 // byte-identical UID sequence the seed corpus pinned; every other stream
 // (driver, node k) is split deterministically from it.

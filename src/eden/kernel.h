@@ -16,10 +16,11 @@
 // identical runs, byte for byte.
 //
 // Sharded execution (DESIGN.md "Sharded kernel"): the kernel is partitioned
-// into N shard workers, each owning a disjoint set of NodeIds (node % N)
-// with its own event queue, virtual clock, and per-node UID/sequence
-// streams. Cross-shard invocations travel through mutex-guarded mailboxes
-// and arrive at send_time + inter-node latency; since the cost model makes
+// into N shard workers, each owning a disjoint set of NodeIds (placement.h:
+// a fixed mix of the node id modulo N, unless hinted) with its own event
+// queue, virtual clock, and per-node UID/sequence streams. Cross-shard
+// invocations travel through mutex-guarded mailboxes and arrive at
+// send_time + inter-node latency; since the cost model makes
 // that latency strictly positive, it is the *lookahead* of a classic
 // conservative (null-message/LBTS) synchronizer: every shard may freely
 // process events earlier than the global minimum next-event time plus the
@@ -52,6 +53,7 @@
 #include "src/eden/lock_observer.h"
 #include "src/eden/message.h"
 #include "src/eden/per_shard.h"
+#include "src/eden/placement.h"
 #include "src/eden/stable_store.h"
 #include "src/eden/stats.h"
 #include "src/eden/status.h"
@@ -188,7 +190,8 @@ struct KernelOptions {
   CostModel costs;
   uint64_t uid_seed = 0xEDE11EDE11EDE11EULL;
   // Worker shards, 1..kMaxShards (per_shard.h). Node k lives on shard
-  // k % shards (the external driver on shard 0). 1 = the classic
+  // PlaceNode(k, hint, shards) (placement.h): scattered by a mix of k unless
+  // AddNode pinned it; kNoNode and node0 on shard 0. 1 = the classic
   // single-threaded event loop. Run/RunUntil go parallel when shards > 1,
   // the lookahead is positive, and no fault injector is installed;
   // Step/RunFor always execute sequentially (and still produce the
@@ -220,10 +223,11 @@ class Kernel {
 
   // ---- Topology. Node 0 ("node0") always exists.
   // `shard_hint` >= 0 pins the node to shard `hint % shards` instead of the
-  // default `node % shards` round robin (partition-aware placement: adjacent
-  // pipeline stages hinted to one shard stop paying cross-shard mailbox
-  // traffic). Hints survive set_shards. Placement never enters EventKeys or
-  // virtual time, so hinted runs stay byte-identical to unhinted ones.
+  // default scatter by a mix of the node id (placement.h; partition-aware
+  // placement: adjacent pipeline stages hinted to one shard stop paying
+  // cross-shard mailbox traffic). Hints survive set_shards. Placement never
+  // enters EventKeys or virtual time, so hinted runs stay byte-identical to
+  // unhinted ones.
   NodeId AddNode(std::string name, int shard_hint = -1);
   size_t node_count() const { return node_names_.size(); }
   const std::string& node_name(NodeId node) const { return node_names_.at(node); }
@@ -231,15 +235,10 @@ class Kernel {
   // ---- Sharding.
   int shard_count() const { return static_cast<int>(shards_.size()); }
   int ShardOf(NodeId node) const {
-    if (node <= 0) {
-      return 0;
-    }
-    if (static_cast<size_t>(node) < shard_hints_.size() &&
-        shard_hints_[static_cast<size_t>(node)] >= 0) {
-      return shard_hints_[static_cast<size_t>(node)] %
-             static_cast<int>(shards_.size());
-    }
-    return static_cast<int>(node % static_cast<NodeId>(shards_.size()));
+    const int hint = node > 0 && static_cast<size_t>(node) < shard_hints_.size()
+                         ? shard_hints_[static_cast<size_t>(node)]
+                         : -1;
+    return PlaceNode(node, hint, shard_count());
   }
   // Re-partitions the kernel across `shards` workers (1..kMaxShards).
   // Requires quiescence (no scheduled events); returns false and changes
@@ -653,7 +652,8 @@ class Kernel {
   TelemetrySampler* telemetry_ = nullptr;
   ShardAuditor* auditor_ = nullptr;
   bool observe_streams_ = false;  // metrics_ or telemetry_ installed
-  // Per-node placement overrides (index = node id; -1 = round robin).
+  // Per-node placement hints, AddNode's `shard_hint` (index = node id;
+  // -1 = the default scatter). Read by ShardOf through PlaceNode.
   std::vector<int> shard_hints_;
   std::atomic<uint64_t> last_lock_id_{0};
   // The current window's promise: no cross-shard message may arrive before

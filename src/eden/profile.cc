@@ -58,6 +58,7 @@ void ShardProfiler::OnWindow(int shard, const WindowSample& sample) {
       p.stall_ns += sample.execute_ns;
     }
     p.barrier_ns += sample.barrier_ns();
+    p.bottom_barrier_ns += sample.bottom_barrier_ns;
   }
   if (ring_capacity_ == 0) return;
   if (p.samples.size() < ring_capacity_) {

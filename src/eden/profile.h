@@ -88,6 +88,10 @@ class ShardProfiler {
     uint64_t execute_ns = 0;  // execute phases that ran at least one event
     uint64_t stall_ns = 0;    // execute phases that ran none
     uint64_t barrier_ns = 0;  // top + bottom
+    // The bottom share of barrier_ns: waiting for the window's slowest
+    // shard. Execute + bottom wait is the busiest shard's execute time, so
+    // this is what per-window skew costs (ParallelVerdict::window_skew).
+    uint64_t bottom_barrier_ns = 0;
     uint64_t samples_dropped = 0;       // windows evicted from the ring
     std::vector<WindowSample> samples;  // most recent windows, oldest first
   };

@@ -627,10 +627,10 @@ class Linter {
   }
 
   // ASC011 — placement headroom: a connected graph split across k shards
-  // needs only k-1 cut edges, but the distinct_nodes round robin assigns
-  // consecutive stages to consecutive shards and cuts *every* edge. Each
-  // unnecessary cut turns an intra-shard event into mailbox traffic and a
-  // window-barrier dependency.
+  // needs only k-1 cut edges, but the default scatter (placement.h) puts
+  // neighbouring distinct_nodes stages on independent shards and cuts about
+  // (k-1)/k of the edges. Each unnecessary cut turns an intra-shard event
+  // into mailbox traffic and a window-barrier dependency.
   void CheckPlacement() {
     if (!spec_.has_concurrency || spec_.shards <= 1) {
       return;
@@ -655,8 +655,11 @@ class Linter {
                  std::to_string(spec_.edges.size()) + " pipeline edges; " +
                  std::to_string(used.size()) +
                  " shards need only " + std::to_string(min_cuts) +
-                 " cuts of a connected chain — every extra cut is mailbox "
-                 "traffic and a window-barrier dependency",
+                 " cuts of a connected chain (the default scatter cuts about " +
+                 std::to_string(spec_.shards - 1) + "/" +
+                 std::to_string(spec_.shards) +
+                 " of them) — every extra cut is mailbox traffic and a "
+                 "window-barrier dependency",
              "co-locate adjacent stages (PipelineOptions::partition_shard, "
              "or Kernel::AddNode shard hints)");
     }

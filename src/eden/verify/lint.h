@@ -32,8 +32,8 @@
 //           would abort the run on the first undercut; caught here before
 //           any Eject exists
 //   ASC011  shard placement cuts pipeline edges that could be co-located
-//           (distinct_nodes round robin cuts *every* edge; k shards need
-//           only k-1 cuts of a connected chain)
+//           (the default scatter cuts about (k-1)/k of distinct_nodes edges;
+//           k shards need only k-1 cuts of a connected chain)
 //   ASC012  a larger safe lookahead is derivable from the cost model for a
 //           node-to-node topology: the derived default is the conservative
 //           invocation-send floor, but every cross-shard edge also pays the

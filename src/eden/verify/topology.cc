@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "src/eden/placement.h"
+
 namespace eden::verify {
 
 std::string_view FlavorName(Flavor flavor) {
@@ -57,13 +59,7 @@ std::string TopologySpec::NameOf(const Uid& uid) const {
 }
 
 int TopologySpec::ShardOf(const StageSpec& stage) const {
-  if (shards <= 1 || stage.node <= 0) {
-    return 0;
-  }
-  if (stage.shard_hint >= 0) {
-    return stage.shard_hint % shards;
-  }
-  return static_cast<int>(stage.node % static_cast<NodeId>(shards));
+  return PlaceNode(stage.node, stage.shard_hint, shards);
 }
 
 }  // namespace eden::verify

@@ -61,11 +61,11 @@ struct StageSpec {
   size_t lowat = 0;  // release them below this (0 = derived at runtime)
 
   // Node placement, for the concurrency lints (ASC010-ASC012). `node` is the
-  // kernel node the stage lives on — for a *plan* it is the relative id the
-  // builders will mint (distinct_nodes: position + 1), which determines the
-  // same shard arithmetic modulo the shard count. `shard_hint` mirrors
-  // Kernel::AddNode's hint: >= 0 pins the node to `hint % shards` instead of
-  // the default `node % shards` round robin.
+  // kernel node the stage lives on — for a *plan* it is the id BuildPipeline
+  // will mint (distinct_nodes: the kernel's next node id + position).
+  // `shard_hint` mirrors Kernel::AddNode's hint: >= 0 pins the node to
+  // `hint % shards` instead of the default scatter by a mix of the node id
+  // (placement.h).
   NodeId node = 0;
   int shard_hint = -1;
 };
@@ -128,8 +128,8 @@ struct TopologySpec {
 
   const StageSpec* Find(const Uid& uid) const;
   std::string NameOf(const Uid& uid) const;  // stage name or short UID
-  // The shard a stage's node lands on under this spec's shard count
-  // (mirrors Kernel::ShardOf including the shard_hint override).
+  // The shard a stage's node lands on under this spec's shard count:
+  // PlaceNode, the same function Kernel::ShardOf runs.
   int ShardOf(const StageSpec& stage) const;
 };
 

@@ -9,6 +9,7 @@
 #include "src/eden/json.h"
 #include "src/eden/kernel.h"
 #include "src/eden/metrics.h"
+#include "src/eden/profile.h"
 #include "src/eden/trace.h"
 
 namespace eden {
@@ -169,6 +170,49 @@ Value MakeDoc(ValueList benchmarks) {
   doc.Set("context", Value().Set("date", Value("1983-10-10")));
   doc.Set("benchmarks", Value(std::move(benchmarks)));
   return doc;
+}
+
+// Two shards that take turns doing all of a window's work: the whole-run
+// totals are equal, so only the per-window skew shows the problem, and the
+// doctor must name placement as its cause.
+TEST(DoctorTest, PerWindowSkewNamesPlacement) {
+  ShardProfiler profiler;
+  profiler.OnRunStart(2);
+  for (uint64_t w = 1; w <= 8; ++w) {
+    for (int shard = 0; shard < 2; ++shard) {
+      const bool busy = static_cast<int>(w % 2) == shard;
+      ShardProfiler::WindowSample sample;
+      sample.window = w;
+      sample.events = busy ? 4 : 0;
+      sample.execute_ns = busy ? 1000 : 0;
+      sample.bottom_barrier_ns = busy ? 0 : 1000;
+      profiler.OnWindow(shard, sample);
+    }
+  }
+  profiler.OnRunEnd(/*events=*/32, /*parallel=*/true);
+
+  // The doctor needs spans to diagnose at all: any traced run will do.
+  Kernel kernel;
+  TraceRecorder recorder;
+  kernel.set_tracer(recorder.Hook());
+  PipelineOptions options;
+  options.discipline = Discipline::kReadOnly;
+  PipelineHandle handle =
+      BuildPipeline(kernel, {Value("a"), Value("b")}, Copies(1), options);
+  kernel.RunUntil([&handle] { return handle.done(); });
+
+  Diagnosis d = PipelineDoctor(recorder, nullptr, &profiler).Diagnose();
+  ASSERT_TRUE(d.parallel.valid);
+  EXPECT_NE(d.verdict.find("imbalance 0%, window skew 2.00x (placement: each "
+                           "window loads a few shards; scatter its stages "
+                           "across shards)"),
+            std::string::npos)
+      << d.verdict;
+  EXPECT_NE(d.ToString().find("window skew 2.00x (per-window busiest / mean "
+                              "execute) <- placement"),
+            std::string::npos)
+      << d.ToString();
+  EXPECT_EQ(d.ToValue().Field("parallel").Field("window_skew").AsReal(), 2.0);
 }
 
 TEST(BenchCompareTest, IdenticalRunsPass) {

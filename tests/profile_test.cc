@@ -103,6 +103,7 @@ TEST(ShardProfilerTest, RingBoundsSamplesButAggregatesKeepCounting) {
   EXPECT_EQ(shard.execute_ns, 1000u);
   EXPECT_EQ(shard.drain_ns, 100u);
   EXPECT_EQ(shard.barrier_ns, 100u);
+  EXPECT_EQ(shard.bottom_barrier_ns, 50u);
   EXPECT_EQ(shard.stall_ns, 0u);
   EXPECT_EQ(profiler.runs(), 1u);
   EXPECT_EQ(profiler.parallel_runs(), 1u);
@@ -226,12 +227,62 @@ TEST(DiagnoseParallelTest, JudgesAFourShardRun) {
   EXPECT_GE(verdict.serial_fraction, 0.0);
   EXPECT_LE(verdict.serial_fraction, 1.0);
   EXPECT_GE(verdict.imbalance_pct, 0.0);
+  EXPECT_GE(verdict.window_skew, 1.0);
   EXPECT_FALSE(verdict.top_stall.empty());
   ASSERT_EQ(verdict.per_shard.size(), 4u);
   EXPECT_NE(verdict.ToLine().find("parallel: speedup"), std::string::npos);
 
   std::string error;
   EXPECT_TRUE(JsonValidate(ValueToJson(verdict.ToValue()), &error)) << error;
+}
+
+// Two shards over ten windows. In every window one shard executes
+// 1000 ns and the other `idle_ns`; the idle one then waits at the bottom
+// barrier for the busy one. With `take_turns` the busy shard alternates,
+// otherwise shard 0 is always the busy one.
+ParallelVerdict SyntheticTwoShardVerdict(bool take_turns, uint64_t idle_ns) {
+  ShardProfiler profiler;
+  profiler.OnRunStart(2);
+  for (uint64_t w = 1; w <= 10; ++w) {
+    const int busy = take_turns ? static_cast<int>(w % 2) : 0;
+    for (int shard = 0; shard < 2; ++shard) {
+      ShardProfiler::WindowSample sample;
+      sample.window = w;
+      sample.events = shard == busy ? 8 : 1;
+      sample.execute_ns = shard == busy ? 1000 : idle_ns;
+      sample.bottom_barrier_ns = shard == busy ? 0 : 1000 - idle_ns;
+      profiler.OnWindow(shard, sample);
+    }
+  }
+  profiler.OnRunEnd(/*events=*/90, /*parallel=*/true);
+  return DiagnoseParallel(profiler);
+}
+
+TEST(DiagnoseParallelTest, TurnTakingShardsShowSkewNotImbalance) {
+  // Each shard is busy in every other window: the whole-run totals are
+  // equal, so imbalance reads ~0, yet every window waits on one shard.
+  ParallelVerdict turns = SyntheticTwoShardVerdict(/*take_turns=*/true, 10);
+  ASSERT_TRUE(turns.valid);
+  EXPECT_NEAR(turns.imbalance_pct, 0.0, 1e-9);
+  EXPECT_NEAR(turns.window_skew, 2.0, 0.05);
+  EXPECT_TRUE(turns.skew_dominates());
+  EXPECT_NE(turns.ToLine().find("placement"), std::string::npos)
+      << turns.ToLine();
+
+  // The same windows with shard 0 always busy: the skew is the same, but
+  // now the whole-run imbalance explains it and placement is not named.
+  ParallelVerdict fixed = SyntheticTwoShardVerdict(/*take_turns=*/false, 10);
+  ASSERT_TRUE(fixed.valid);
+  EXPECT_NEAR(fixed.window_skew, 2.0, 0.05);
+  EXPECT_GT(fixed.imbalance_pct, 90.0);
+  EXPECT_FALSE(fixed.skew_dominates());
+  EXPECT_EQ(fixed.ToLine().find("placement"), std::string::npos);
+
+  // Both shards equally busy in every window: no skew.
+  ParallelVerdict even = SyntheticTwoShardVerdict(/*take_turns=*/true, 1000);
+  ASSERT_TRUE(even.valid);
+  EXPECT_NEAR(even.window_skew, 1.0, 1e-9);
+  EXPECT_FALSE(even.skew_dominates());
 }
 
 TEST(DiagnoseParallelTest, DoctorAppendsTheVerdict) {

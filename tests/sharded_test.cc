@@ -281,12 +281,60 @@ TEST(ShardMatrix, Figure4ChannelsAreShardCountInvariant) {
 
 TEST(ShardedKernel, DistinctNodePipelinesGenerateCrossShardTraffic) {
   // Guards the matrix against vacuity: with every stage on its own node and
-  // shards > 1, neighbouring stages land on different shards, so the run
-  // must move real messages through the mailboxes.
-  FigRun run = RunFig(Discipline::kReadOnly, /*shards=*/4, /*items=*/60,
-                      /*stages=*/4);
-  EXPECT_GT(run.cross_shard_sends, 0u);
-  EXPECT_GT(run.events, 0u);
+  // shards > 1, some neighbouring stages land on different shards, so every
+  // shard count the figure matrix runs must move real messages through the
+  // mailboxes.
+  for (int shards : {2, 4, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    FigRun run = RunFig(Discipline::kReadOnly, shards, /*items=*/60,
+                        /*stages=*/4);
+    EXPECT_GT(run.cross_shard_sends, 0u);
+    EXPECT_GT(run.events, 0u);
+  }
+}
+
+TEST(ShardedKernel, DefaultPlacementLoadsEveryShardAtEveryStagePosition) {
+  // Back-to-back distinct_nodes pipelines of L nodes mint node ids with
+  // stride L, so `node % shards` would put stage position s of every chain
+  // on only shards / gcd(L, shards) of the shards and leave the others idle
+  // whenever that position is the busy one. The default scatter must
+  // spread every position over every shard. 2048 chains keep a uniform
+  // scatter within +-25% at 8 shards with a margin of about 4 standard
+  // deviations, so the bound catches resonance, not sampling noise.
+  constexpr int kPipelines = 2048;
+  for (size_t length = 2; length <= 8; ++length) {
+    Kernel kernel;
+    PipelineOptions options;
+    options.discipline = Discipline::kReadOnly;
+    options.distinct_nodes = true;
+    std::vector<PipelineHandle> handles;
+    for (int p = 0; p < kPipelines; ++p) {
+      handles.push_back(BuildPipeline(kernel, {}, CopyChain(length - 2), options));
+      ASSERT_EQ(handles.back().ejects.size(), length);
+    }
+    // Placement depends only on the node ids, not on when the kernel was
+    // partitioned: run the empty pipelines dry, then re-partition.
+    ASSERT_TRUE(kernel.Run());
+    for (int shards : {2, 4, 8}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards) +
+                   " nodes per pipeline=" + std::to_string(length));
+      ASSERT_TRUE(kernel.set_shards(shards));
+      std::vector<std::vector<int>> load(length, std::vector<int>(shards, 0));
+      for (const PipelineHandle& handle : handles) {
+        for (size_t position = 0; position < length; ++position) {
+          load[position][kernel.ShardOf(kernel.NodeOf(handle.ejects[position]))]++;
+        }
+      }
+      const double uniform = static_cast<double>(kPipelines) / shards;
+      for (size_t position = 0; position < length; ++position) {
+        for (int shard = 0; shard < shards; ++shard) {
+          EXPECT_NEAR(load[position][static_cast<size_t>(shard)], uniform,
+                      0.25 * uniform)
+              << "stage position " << position << " on shard " << shard;
+        }
+      }
+    }
+  }
 }
 
 TEST(ShardedKernel, SetShardsRequiresQuiescence) {

@@ -19,6 +19,7 @@
 #include "src/eden/analysis.h"
 #include "src/eden/kernel.h"
 #include "src/eden/monitor.h"
+#include "src/eden/placement.h"
 #include "src/eden/sync.h"
 #include "src/eden/trace.h"
 #include "src/eden/verify/lint.h"
@@ -794,9 +795,9 @@ TEST(LintTest, ConcurrencyRulesStaySilentWithoutContext) {
   EXPECT_TRUE(report.diagnostics.empty()) << report.ToString();
 }
 
-TEST(LintTest, ASC011WarnsOnRoundRobinCuttingEveryEdge) {
-  // Nodes 1,2,3 round-robin on 2 shards: both edges cross, but 2 shards
-  // need only 1 cut of a connected chain.
+TEST(LintTest, ASC011WarnsWhenPlacementCutsEveryEdge) {
+  // Nodes 1,2,3 scatter to shards 1,0,1 on 2 shards: both edges cross, but
+  // 2 shards need only 1 cut of a connected chain.
   TopologySpec t = ShardedChain(2, 0);
   LintReport report = PipelineLinter().Lint(t);
   ASSERT_TRUE(report.HasRule("ASC011")) << report.ToString();
@@ -841,6 +842,59 @@ TEST(LintTest, ASC012SilentWhenNoEdgeCrossesShards) {
     stage.shard_hint = 2;
   }
   EXPECT_FALSE(PipelineLinter().Lint(pinned).HasRule("ASC012"));
+}
+
+TEST(PlacementTest, LintsSeeThePlacementTheKernelRuns) {
+  // Kernel::ShardOf and TopologySpec::ShardOf both call PlaceNode, so the
+  // concurrency lints can never drift from the kernel's placement. Compare
+  // the two over every hint, every node id up to 4096 and every legal
+  // shard count (set_shards re-partitions the same quiescent kernel).
+  EXPECT_EQ(PlaceNode(0, 5, 8), 0);         // node0 stays on shard 0
+  EXPECT_EQ(PlaceNode(kNoNode, -1, 8), 0);  // so does kNoNode
+  EXPECT_EQ(PlaceNode(7, 13, 8), 5);        // hints keep hint % shards
+  EXPECT_EQ(PlaceNode(7, -1, 1), 0);        // one shard is always shard 0
+  constexpr NodeId kLastNode = 4096;
+  for (int hint = -1; hint <= 9; ++hint) {
+    Kernel kernel;
+    for (NodeId node = 1; node <= kLastNode; ++node) {
+      kernel.AddNode("n" + std::to_string(node), hint);
+    }
+    for (int shards = 1; shards <= kMaxShards; ++shards) {
+      ASSERT_TRUE(kernel.set_shards(shards));
+      TopologySpec spec;
+      spec.shards = shards;
+      StageSpec stage;
+      stage.shard_hint = hint;
+      size_t mismatches = 0;
+      for (NodeId node = 0; node <= kLastNode; ++node) {
+        stage.node = node;
+        mismatches += kernel.ShardOf(node) != spec.ShardOf(stage) ? 1 : 0;
+      }
+      EXPECT_EQ(mismatches, 0u) << "hint " << hint << ", shards " << shards;
+    }
+  }
+}
+
+TEST(PlacementTest, PlanStampsTheNodeIdsBuildPipelineMints) {
+  // A plan made on a kernel that already has nodes must place its stages
+  // where BuildPipeline will: the ids continue from node_count().
+  KernelOptions kernel_options;
+  kernel_options.shards = 4;
+  Kernel kernel(kernel_options);
+  kernel.AddNode("existing-1");
+  kernel.AddNode("existing-2");
+  PipelineOptions options = OptionsFor(Discipline::kReadOnly);
+  options.distinct_nodes = true;
+  verify::TopologySpec plan = PlanTopology(3, options, kernel);
+  PipelineHandle handle =
+      BuildPipeline(kernel, {}, {Copy(), Copy(), Copy()}, options);
+  ASSERT_EQ(plan.stages.size(), handle.ejects.size());
+  for (size_t i = 0; i < plan.stages.size(); ++i) {
+    EXPECT_EQ(plan.stages[i].node, kernel.NodeOf(handle.ejects[i])) << i;
+    EXPECT_EQ(plan.ShardOf(plan.stages[i]),
+              kernel.ShardOf(kernel.NodeOf(handle.ejects[i])))
+        << i;
+  }
 }
 
 // ---- The Kernel-aware plan bridge.
@@ -1070,7 +1124,7 @@ TEST(ShardAuditTest, PartitionPlacementEliminatesCrossShardSendsByteIdentically)
   EXPECT_EQ(pinned.output, spread.output);
   EXPECT_EQ(pinned.virtual_time, spread.virtual_time);
   EXPECT_EQ(pinned_cert, spread_cert);
-  EXPECT_GT(spread_sends, 0u);   // round-robin cuts every edge
+  EXPECT_GT(spread_sends, 0u);   // the default scatter cuts edges
   EXPECT_EQ(pinned_sends, 0u);   // co-located chain never crosses
 }
 
