@@ -29,8 +29,8 @@ class Eject {
   virtual ~Eject();
 
   Kernel& kernel() { return kernel_; }
-  const Uid& uid() const { return uid_; }
-  NodeId node() const { return node_; }
+  const Uid& uid() const { return slot_->uid; }
+  NodeId node() const { return slot_->node; }
   const std::string& type_name() const { return type_name_; }
 
   // ---- Lifecycle hooks.
@@ -46,7 +46,7 @@ class Eject {
   void Checkpoint() { kernel_.Checkpoint(*this); }
   // Schedules this Eject's own teardown; safe to call from its handlers and
   // coroutines (teardown happens after the current event completes).
-  void RequestDeactivate() { kernel_.RequestDeactivate(uid_); }
+  void RequestDeactivate() { kernel_.RequestDeactivate(uid()); }
 
   // Starts a detached internal process. Destroyed on crash/deactivation.
   void Spawn(Task<void> task);
@@ -57,8 +57,8 @@ class Eject {
                        Tick deadline = 0) {
     return kernel_.Invoke(*this, target, std::move(op), std::move(args), deadline);
   }
-  SleepAwaiter Sleep(Tick delay) { return SleepAwaiter(kernel_, uid_, delay); }
-  SleepAwaiter Yield() { return SleepAwaiter(kernel_, uid_, 0); }
+  SleepAwaiter Sleep(Tick delay) { return SleepAwaiter(kernel_, *this, delay); }
+  SleepAwaiter Yield() { return SleepAwaiter(kernel_, *this, 0); }
 
   // Kernel entry point: routes a delivered invocation to the registered
   // handler, or answers kNoSuchOperation.
@@ -88,8 +88,9 @@ class Eject {
  private:
   friend class Kernel;
 
-  Uid uid_;
-  NodeId node_ = 0;
+  // This Eject's row in the kernel's Eject table: its UID, home node and
+  // epoch. Reactivation rebinds the fresh instance to the stored UID's row.
+  EjectSlot* slot_;
   std::string type_name_;
   std::map<std::string, Handler> ops_;
   TaskList tasks_;

@@ -102,220 +102,12 @@ std::string ValueToJson(const Value& value) {
 
 namespace {
 
-// Recursive-descent JSON validator. Tracks position for error reporting.
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
+// Containers nested deeper than this are rejected, so hostile input cannot
+// exhaust the stack (the codec's bound; nothing the repo writes nests more
+// than a few levels).
+constexpr int kMaxDepth = 64;
 
-  bool Check(std::string* error) {
-    SkipWs();
-    if (!Element()) {
-      Report(error);
-      return false;
-    }
-    SkipWs();
-    if (pos_ != text_.size()) {
-      message_ = "trailing characters after document";
-      Report(error);
-      return false;
-    }
-    return true;
-  }
-
- private:
-  void Report(std::string* error) const {
-    if (error != nullptr) {
-      *error = message_ + " at offset " + std::to_string(pos_);
-    }
-  }
-
-  bool Eof() const { return pos_ >= text_.size(); }
-  char Peek() const { return text_[pos_]; }
-
-  void SkipWs() {
-    while (!Eof() && (Peek() == ' ' || Peek() == '\t' || Peek() == '\n' ||
-                      Peek() == '\r')) {
-      pos_++;
-    }
-  }
-
-  bool Fail(const char* why) {
-    if (message_.empty()) {
-      message_ = why;
-    }
-    return false;
-  }
-
-  bool Literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word) {
-      return Fail("bad literal");
-    }
-    pos_ += word.size();
-    return true;
-  }
-
-  bool String() {
-    if (Eof() || Peek() != '"') {
-      return Fail("expected string");
-    }
-    pos_++;
-    while (!Eof() && Peek() != '"') {
-      if (static_cast<unsigned char>(Peek()) < 0x20) {
-        return Fail("raw control character in string");
-      }
-      if (Peek() == '\\') {
-        pos_++;
-        if (Eof()) {
-          return Fail("truncated escape");
-        }
-        char e = Peek();
-        if (e == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            pos_++;
-            if (Eof() || !std::isxdigit(static_cast<unsigned char>(Peek()))) {
-              return Fail("bad \\u escape");
-            }
-          }
-        } else if (e != '"' && e != '\\' && e != '/' && e != 'b' && e != 'f' &&
-                   e != 'n' && e != 'r' && e != 't') {
-          return Fail("bad escape character");
-        }
-      }
-      pos_++;
-    }
-    if (Eof()) {
-      return Fail("unterminated string");
-    }
-    pos_++;  // closing quote
-    return true;
-  }
-
-  bool Number() {
-    size_t start = pos_;
-    if (!Eof() && Peek() == '-') {
-      pos_++;
-    }
-    if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-      return Fail("expected digit");
-    }
-    if (Peek() == '0') {
-      pos_++;
-    } else {
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        pos_++;
-      }
-    }
-    if (!Eof() && Peek() == '.') {
-      pos_++;
-      if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return Fail("expected fraction digit");
-      }
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        pos_++;
-      }
-    }
-    if (!Eof() && (Peek() == 'e' || Peek() == 'E')) {
-      pos_++;
-      if (!Eof() && (Peek() == '+' || Peek() == '-')) {
-        pos_++;
-      }
-      if (Eof() || !std::isdigit(static_cast<unsigned char>(Peek()))) {
-        return Fail("expected exponent digit");
-      }
-      while (!Eof() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        pos_++;
-      }
-    }
-    return pos_ > start;
-  }
-
-  bool Element() {
-    if (Eof()) {
-      return Fail("unexpected end of input");
-    }
-    switch (Peek()) {
-      case '{':
-        return Object();
-      case '[':
-        return Array();
-      case '"':
-        return String();
-      case 't':
-        return Literal("true");
-      case 'f':
-        return Literal("false");
-      case 'n':
-        return Literal("null");
-      default:
-        return Number();
-    }
-  }
-
-  bool Object() {
-    pos_++;  // '{'
-    SkipWs();
-    if (!Eof() && Peek() == '}') {
-      pos_++;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!String()) {
-        return false;
-      }
-      SkipWs();
-      if (Eof() || Peek() != ':') {
-        return Fail("expected ':'");
-      }
-      pos_++;
-      SkipWs();
-      if (!Element()) {
-        return false;
-      }
-      SkipWs();
-      if (!Eof() && Peek() == ',') {
-        pos_++;
-        continue;
-      }
-      if (!Eof() && Peek() == '}') {
-        pos_++;
-        return true;
-      }
-      return Fail("expected ',' or '}'");
-    }
-  }
-
-  bool Array() {
-    pos_++;  // '['
-    SkipWs();
-    if (!Eof() && Peek() == ']') {
-      pos_++;
-      return true;
-    }
-    for (;;) {
-      SkipWs();
-      if (!Element()) {
-        return false;
-      }
-      SkipWs();
-      if (!Eof() && Peek() == ',') {
-        pos_++;
-        continue;
-      }
-      if (!Eof() && Peek() == ']') {
-        pos_++;
-        return true;
-      }
-      return Fail("expected ',' or ']'");
-    }
-  }
-
-  std::string_view text_;
-  size_t pos_ = 0;
-  std::string message_;
-};
-
-// Recursive-descent parser building Values; shares the checker's grammar.
+// Recursive-descent RFC 8259 parser building Values; the one JSON grammar.
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}
@@ -323,7 +115,7 @@ class JsonParser {
   std::optional<Value> Parse(std::string* error) {
     SkipWs();
     Value out;
-    if (!Element(out)) {
+    if (!Element(out, 0)) {
       Report(error);
       return std::nullopt;
     }
@@ -487,15 +279,15 @@ class JsonParser {
     return true;
   }
 
-  bool Element(Value& out) {
+  bool Element(Value& out, int depth) {
     if (Eof()) {
       return Fail("unexpected end of input");
     }
     switch (Peek()) {
       case '{':
-        return Object(out);
+        return Object(out, depth);
       case '[':
-        return Array(out);
+        return Array(out, depth);
       case '"': {
         std::string s;
         if (!String(s)) {
@@ -518,7 +310,11 @@ class JsonParser {
     }
   }
 
-  bool Object(Value& out) {
+  // `depth` counts the containers already open around this one.
+  bool Object(Value& out, int depth) {
+    if (depth >= kMaxDepth) {
+      return Fail("nesting deeper than 64");
+    }
     pos_++;  // '{'
     ValueMap map;
     SkipWs();
@@ -540,7 +336,7 @@ class JsonParser {
       pos_++;
       SkipWs();
       Value value;
-      if (!Element(value)) {
+      if (!Element(value, depth + 1)) {
         return false;
       }
       map.insert_or_assign(std::move(key), std::move(value));
@@ -558,7 +354,10 @@ class JsonParser {
     }
   }
 
-  bool Array(Value& out) {
+  bool Array(Value& out, int depth) {
+    if (depth >= kMaxDepth) {
+      return Fail("nesting deeper than 64");
+    }
     pos_++;  // '['
     ValueList list;
     SkipWs();
@@ -570,7 +369,7 @@ class JsonParser {
     for (;;) {
       SkipWs();
       Value value;
-      if (!Element(value)) {
+      if (!Element(value, depth + 1)) {
         return false;
       }
       list.push_back(std::move(value));
@@ -596,7 +395,7 @@ class JsonParser {
 }  // namespace
 
 bool JsonValidate(std::string_view text, std::string* error) {
-  return JsonChecker(text).Check(error);
+  return JsonParse(text, error).has_value();
 }
 
 std::optional<Value> JsonParse(std::string_view text, std::string* error) {

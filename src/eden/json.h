@@ -3,9 +3,12 @@
 // The kernel's export formats (metrics snapshots, Chrome trace events, bench
 // result files) are all JSON; this is the one place that knows how to escape
 // strings, render a Value as *strict* JSON (Value::ToString is only
-// JSON-flavoured: nil, UIDs and bytes are not legal JSON there), and check a
-// document for well-formedness. The validator exists so tests can assert
-// "this output loads in Perfetto" without a third-party JSON dependency.
+// JSON-flavoured: nil, UIDs and bytes are not legal JSON there), and parse a
+// document back. One recursive-descent parser holds the grammar: JsonValidate
+// is JsonParse with the result dropped (so tests can assert "this output
+// loads in Perfetto" without a third-party JSON dependency). Containers may
+// nest at most 64 deep, the codec's bound, so malformed bytes from disk
+// cannot exhaust the stack.
 #ifndef SRC_EDEN_JSON_H_
 #define SRC_EDEN_JSON_H_
 
@@ -24,17 +27,17 @@ std::string JsonEscape(std::string_view s);
 // UID -> its "eden:..." string form, maps keep their (sorted) key order.
 std::string ValueToJson(const Value& value);
 
-// Validates that `text` is one well-formed JSON document (RFC 8259 syntax).
-// On failure returns false and, if `error` is non-null, sets a short message
-// with the byte offset of the problem.
+// Validates that `text` is one well-formed JSON document (RFC 8259 syntax,
+// nested at most 64 deep). On failure returns false and, if `error` is
+// non-null, sets a short message with the byte offset of the problem.
 bool JsonValidate(std::string_view text, std::string* error = nullptr);
 
 // Parses one JSON document into a Value (the inverse of ValueToJson, modulo
 // the lossy encodings: null -> nil, numbers without fraction/exponent ->
 // Int, others -> Real; UIDs and bytes come back as strings). Exists so
 // bench_compare can read BENCH_*.json files without a third-party JSON
-// dependency. Returns nullopt on malformed input (same diagnostics as
-// JsonValidate via `error`).
+// dependency. Returns nullopt on malformed or too deeply nested input, with
+// the JsonValidate diagnostic in `error`.
 std::optional<Value> JsonParse(std::string_view text,
                                std::string* error = nullptr);
 

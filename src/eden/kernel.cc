@@ -78,6 +78,12 @@ class SyncPoint {
 };
 
 thread_local NodeId tls_creation_node = kNoNode;
+
+// A table row's UID and node, where a null row is the external driver.
+Uid UidOf(const EjectSlot* slot) { return slot != nullptr ? slot->uid : Uid(); }
+NodeId NodeOfSlot(const EjectSlot* slot) {
+  return slot != nullptr ? slot->node : kNoNode;
+}
 }  // namespace
 
 thread_local Kernel::ExecContext Kernel::tls_ctx_{};
@@ -125,20 +131,17 @@ void InvokeAwaiter::await_suspend(std::coroutine_handle<> h) {
   if (LockObserver* observer = kernel_.lock_observer()) {
     // The caller's process is now parked until a reply (or deadline): if it
     // holds a mutex, every peer needing that mutex is parked with it.
-    observer->OnBlocking(from_, "Invoke " + op_, kernel_.now());
+    observer->OnBlocking(from_.uid(), "Invoke " + op_, kernel_.now());
   }
   Kernel::WaitRecord wait;
-  wait.caller = from_;
-  wait.caller_epoch = kernel_.EpochOf(from_);
-  wait.caller_node = kernel_.NodeOf(from_);
   wait.awaiter = this;
   wait.waiter = h;
-  kernel_.SendInvocation(from_, target_, std::move(op_), std::move(args_),
+  kernel_.SendInvocation(&from_, target_, std::move(op_), std::move(args_),
                          std::move(wait), deadline_);
 }
 
 void SleepAwaiter::await_suspend(std::coroutine_handle<> h) {
-  kernel_.ScheduleResume(host_, kernel_.EpochOf(host_), h, delay_);
+  kernel_.ScheduleResume(&host_, h, delay_);
 }
 
 // ---------------------------------------------------------------------- Kernel
@@ -159,10 +162,11 @@ Kernel::Kernel(KernelOptions options) : options_(options) {
 Kernel::~Kernel() {
   shutting_down_ = true;
   // Destroy Ejects (and their parked coroutines) before the bookkeeping they
-  // may reference. Reply handles fired from destructors are dropped by the
-  // shutting_down_ guard in SendReply.
-  for (auto& shard : shards_) {
-    shard->registry.clear();
+  // may reference, in UID order whatever the shard count. Reply handles
+  // fired from destructors are dropped by the shutting_down_ guard in
+  // SendReply.
+  for (EjectSlot* slot : LiveSlots()) {
+    slot->instance.reset();
   }
   for (auto& shard : shards_) {
     shard->waits.clear();
@@ -197,16 +201,11 @@ bool Kernel::set_shards(int shards) {
     shards_.back()->clock.AdvanceTo(global_now);
   }
   options_.shards = shards;
+  // The Eject table is kernel-wide, so only in-flight invocation records
+  // move to their new home shards.
   for (auto& shard : old) {
-    for (auto& [uid, entry] : shard->registry) {
-      NodeId node = entry.node;
-      shards_[ShardOf(node)]->registry[uid] = std::move(entry);
-    }
-    for (const auto& [uid, epoch] : shard->epochs) {
-      shards_[ShardOf(NodeOf(uid))]->epochs[uid] = epoch;
-    }
     for (auto& [id, wait] : shard->waits) {
-      NodeId node = wait.caller_node;
+      NodeId node = NodeOfSlot(wait.caller);
       shards_[ShardOf(node)]->waits[id] = std::move(wait);
     }
     for (auto& [id, route] : shard->open_replies) {
@@ -226,33 +225,48 @@ std::vector<ShardCounters> Kernel::shard_counters() const {
   return out;
 }
 
+EjectSlot* Kernel::Lookup(const Uid& uid) const {
+  std::shared_lock<std::shared_mutex> lock(ejects_mu_, std::defer_lock);
+  if (parallel_active_.load(std::memory_order_relaxed)) {
+    lock.lock();
+  }
+  auto it = ejects_.find(uid);
+  return it != ejects_.end() ? const_cast<EjectSlot*>(&it->second) : nullptr;
+}
+
+std::vector<EjectSlot*> Kernel::LiveSlots() const {
+  std::shared_lock<std::shared_mutex> lock(ejects_mu_, std::defer_lock);
+  if (parallel_active_.load(std::memory_order_relaxed)) {
+    lock.lock();
+  }
+  std::vector<EjectSlot*> live;
+  for (const auto& [uid, slot] : ejects_) {
+    if (slot.instance != nullptr) {
+      live.push_back(const_cast<EjectSlot*>(&slot));
+    }
+  }
+  std::sort(live.begin(), live.end(),
+            [](const EjectSlot* a, const EjectSlot* b) { return a->uid < b->uid; });
+  return live;
+}
+
 bool Kernel::IsActive(const Uid& uid) const {
-  return HomeShard(uid).registry.count(uid) > 0;
+  EjectSlot* slot = Lookup(uid);
+  return slot != nullptr && slot->instance != nullptr;
 }
 
 Eject* Kernel::Find(const Uid& uid) {
-  Shard& shard = HomeShard(uid);
-  auto it = shard.registry.find(uid);
-  return it == shard.registry.end() ? nullptr : it->second.instance.get();
+  EjectSlot* slot = Lookup(uid);
+  return slot != nullptr ? slot->instance.get() : nullptr;
 }
 
-size_t Kernel::active_eject_count() const {
-  size_t count = 0;
-  for (const auto& shard : shards_) {
-    count += shard->registry.size();
-  }
-  return count;
-}
+size_t Kernel::active_eject_count() const { return LiveSlots().size(); }
 
 std::vector<Uid> Kernel::ActiveUids() const {
   std::vector<Uid> uids;
-  uids.reserve(active_eject_count());
-  for (const auto& shard : shards_) {
-    for (const auto& [uid, entry] : shard->registry) {
-      uids.push_back(uid);
-    }
+  for (const EjectSlot* slot : LiveSlots()) {
+    uids.push_back(slot->uid);
   }
-  std::sort(uids.begin(), uids.end());
   return uids;
 }
 
@@ -260,12 +274,8 @@ NodeId Kernel::NodeOf(const Uid& uid) const {
   if (uid.IsNil()) {
     return kNoNode;
   }
-  if (node_names_.size() == 1) {
-    return NodeId{0};  // single-node fast path: nothing lives elsewhere
-  }
-  std::shared_lock<std::shared_mutex> lock(homes_mu_);
-  auto it = home_nodes_.find(uid);
-  return it != home_nodes_.end() ? it->second : NodeId{0};
+  EjectSlot* slot = Lookup(uid);
+  return slot != nullptr ? slot->node : NodeId{0};
 }
 
 NodeId Kernel::PushCreationNode(NodeId node) {
@@ -283,61 +293,35 @@ UidGenerator& Kernel::uids() {
   return BookFor(node == kNoNode ? kNoNode : node).uids;
 }
 
-Uid Kernel::AllocateEjectUid() {
+EjectSlot* Kernel::AllocateEjectSlot() {
   NodeId node = tls_creation_node;
   if (node == kNoNode) {
     NodeId current = CurrentNode();
     node = current == kNoNode ? NodeId{0} : current;
   }
   Uid uid = BookFor(node).uids.Next();
-  shards_[ShardOf(node)]->epochs[uid] = 1;
-  {
-    std::unique_lock<std::shared_mutex> lock(homes_mu_);
-    home_nodes_[uid] = node;
+  std::unique_lock<std::shared_mutex> lock(ejects_mu_, std::defer_lock);
+  if (parallel_active_.load(std::memory_order_relaxed)) {
+    lock.lock();
   }
-  return uid;
+  EjectSlot& slot = ejects_[uid];
+  slot.uid = uid;
+  slot.node = node;
+  return &slot;
 }
 
-void Kernel::AdoptEject(std::unique_ptr<Eject> eject, NodeId node) {
+void Kernel::AdoptEject(std::unique_ptr<Eject> eject) {
+  Eject* raw = eject.get();
+  NodeId node = raw->node();
   assert(node >= 0 && static_cast<size_t>(node) < node_names_.size());
   // Parallel workers may only create Ejects on nodes they own; creation on a
-  // foreign shard would race its registry.
+  // foreign shard would race the row's owner.
   assert(!(OnOwnContext() && tls_ctx_.parallel) || ShardOf(node) == tls_ctx_.shard_index);
-  Eject* raw = eject.get();
-  raw->node_ = node;
-  Uid uid = raw->uid();
-  EjectEntry entry;
-  entry.instance = std::move(eject);
-  entry.node = node;
-  shards_[ShardOf(node)]->registry[uid] = std::move(entry);
+  raw->slot_->instance = std::move(eject);
   stats_.ejects_created.fetch_add(1, std::memory_order_relaxed);
-  EDEN_LOG(*this, kDebug) << "create " << raw->type_name() << " " << uid.Short()
+  EDEN_LOG(*this, kDebug) << "create " << raw->type_name() << " " << raw->uid().Short()
                           << " on " << node_names_[node];
   raw->OnStart();
-}
-
-uint64_t Kernel::EpochOf(const Uid& uid) const {
-  if (uid.IsNil()) {
-    return 0;
-  }
-  const Shard& shard = HomeShard(uid);
-  auto it = shard.epochs.find(uid);
-  return it == shard.epochs.end() ? 0 : it->second;
-}
-
-bool Kernel::EpochValid(const Uid& uid, uint64_t epoch) const {
-  if (shutting_down_) {
-    return false;
-  }
-  if (uid.IsNil()) {
-    return true;  // external driver: valid for the kernel's lifetime
-  }
-  const Shard& shard = HomeShard(uid);
-  if (shard.registry.count(uid) == 0) {
-    return false;
-  }
-  auto it = shard.epochs.find(uid);
-  return it != shard.epochs.end() && it->second == epoch;
 }
 
 // ------------------------------------------------------------------ scheduling
@@ -382,11 +366,12 @@ void Kernel::ScheduleOn(NodeId exec, Tick at, EventQueue::Action action) {
   shards_[target]->queue.Schedule(key, exec, std::move(action));
 }
 
-void Kernel::ScheduleResume(const Uid& host, uint64_t epoch,
-                            std::coroutine_handle<> h, Tick delay) {
+void Kernel::ScheduleResume(const Eject* host, std::coroutine_handle<> h, Tick delay) {
   Tick at = now() + delay + options_.costs.context_switch;
-  ScheduleOn(NodeOf(host), at, [this, host, epoch, h, span = current_span()] {
-    if (EpochValid(host, epoch)) {
+  const EjectSlot* slot = host != nullptr ? host->slot_ : nullptr;
+  uint64_t epoch = slot != nullptr ? slot->epoch : 0;
+  ScheduleOn(NodeOfSlot(slot), at, [this, slot, epoch, h, span = current_span()] {
+    if (Live(slot, epoch)) {
       stats_.context_switches.fetch_add(1, std::memory_order_relaxed);
       // Resume inside the span that scheduled the wakeup: a CondVar notify
       // fired while serving invocation N wakes its waiter as part of N's
@@ -430,17 +415,14 @@ void ServiceProc::Schedule() {
 
 InvokeAwaiter Kernel::Invoke(const Eject& from, Uid target, std::string op,
                              Value args, Tick deadline) {
-  return InvokeAwaiter(*this, from.uid(), target, std::move(op), std::move(args),
-                       deadline);
+  return InvokeAwaiter(*this, from, target, std::move(op), std::move(args), deadline);
 }
 
 void Kernel::ExternalInvoke(Uid target, std::string op, Value args,
                             std::function<void(InvokeResult)> callback) {
   WaitRecord wait;
-  wait.caller = Uid();  // nil: external
-  wait.caller_node = kNoNode;
   wait.callback = std::move(callback);
-  SendInvocation(Uid(), target, std::move(op), std::move(args), std::move(wait),
+  SendInvocation(nullptr, target, std::move(op), std::move(args), std::move(wait),
                  /*deadline=*/0);
 }
 
@@ -463,13 +445,20 @@ void Kernel::SpawnExternal(Task<void> task) {
     return;
   }
   std::coroutine_handle<> h = task.Detach(external_tasks_);
-  ScheduleResume(Uid(), 0, h);
+  ScheduleResume(nullptr, h);
 }
 
-void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
+void Kernel::SendInvocation(const Eject* from, Uid target, std::string op, Value args,
                             WaitRecord wait, Tick deadline) {
-  NodeId caller_node = wait.caller_node;
-  NodeId target_node = NodeOf(target);
+  // The one lookup by UID an invocation makes; the route carries the row on.
+  EjectSlot* slot = Lookup(target);
+  NodeId target_node = slot != nullptr ? slot->node : NodeId{0};
+  if (from != nullptr) {
+    wait.caller = from->slot_;
+    wait.caller_epoch = from->slot_->epoch;
+  }
+  const Uid caller = UidOf(wait.caller);
+  NodeId caller_node = NodeOfSlot(wait.caller);
   NodeBook& book = BookFor(caller_node);
   InvocationId id = MakeInvocationId(caller_node, ++book.invocation_seq);
   size_t bytes = kMessageHeaderBytes + op.size() + Codec::EncodedSize(args);
@@ -482,8 +471,8 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
   wait.parent = current_span();
   ReplyRoute route;
   route.caller = wait.caller;
-  route.caller_node = caller_node;
   route.target = target;
+  route.slot = slot;
   route.target_node = target_node;
   route.parent = wait.parent;
   route.sent_at = now();
@@ -496,13 +485,13 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
   }
   Tick cost = options_.costs.MessageCost(bytes, caller_node, target_node) +
               options_.costs.dispatch;
-  EDEN_LOG(*this, kDebug) << "invoke " << from.Short() << " -> " << target.Short()
+  EDEN_LOG(*this, kDebug) << "invoke " << caller.Short() << " -> " << target.Short()
                           << " " << op << " (id " << id << ")";
   if (observing()) {
     TraceEvent event;
     event.kind = TraceEvent::Kind::kInvoke;
     event.at = now();
-    event.from = from;
+    event.from = caller;
     event.to = target;
     event.op = op;
     event.id = id;
@@ -514,7 +503,7 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
   // place: the deadline (if any) is the caller's only way to learn of the
   // loss; without one the caller waits forever, exactly like 1983.
   bool lost = false;
-  if (fault_ != nullptr && !from.IsNil()) {
+  if (fault_ != nullptr && from != nullptr) {
     if (fault_->ShouldDropInvocation()) {
       lost = true;
       fault_->invocations_dropped_++;
@@ -524,7 +513,7 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
         TraceEvent event;
         event.kind = TraceEvent::Kind::kDrop;
         event.at = now();
-        event.from = from;
+        event.from = caller;
         event.to = target;
         event.op = op;
         event.id = id;
@@ -552,21 +541,22 @@ void Kernel::SendInvocation(Uid from, Uid target, std::string op, Value args,
 void Kernel::DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
                                Value args) {
   Uid target = route.target;
+  EjectSlot* slot = route.slot;
   NodeId target_node = route.target_node;
   Shard& shard = *shards_[ShardOf(target_node)];
-  if (route.caller_node == route.target_node &&
+  if (NodeOfSlot(route.caller) == target_node &&
       shard.waits.find(id) == shard.waits.end()) {
     return;  // caller teardown/deadline raced the delivery; nobody cares
   }
   // From here the invocation is deliverable: the route parks on the target's
   // shard and is what a (possibly stashed) ReplyHandle answers through.
   shard.open_replies[id] = std::move(route);
-  auto it = shard.registry.find(target);
-  if (it != shard.registry.end()) {
-    DispatchTo(*it->second.instance, id, std::move(op), std::move(args));
+  if (slot != nullptr && slot->instance != nullptr) {
+    DispatchTo(*slot->instance, id, std::move(op), std::move(args));
     return;
   }
-  const PassiveRep* rep = store_.Get(target);
+  // Only a UID this kernel minted can have been checkpointed.
+  const PassiveRep* rep = slot != nullptr ? store_.Get(target) : nullptr;
   if (rep != nullptr && types_.Contains(rep->type_name)) {
     // Activation: the kernel reconstructs the Eject from its passive
     // representation, then delivers (paper §1).
@@ -590,20 +580,17 @@ void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Value args) {
   if (route_it == shard.open_replies.end()) {
     return;
   }
-  Uid target = route_it->second.target;
-  NodeId home = route_it->second.target_node;
-  Eject* eject = nullptr;
-  auto reg_it = shard.registry.find(target);
-  if (reg_it != shard.registry.end()) {
-    // Another invocation completed activation while this one waited.
-    eject = reg_it->second.instance.get();
-  } else {
-    const PassiveRep* rep = store_.Get(target);
+  EjectSlot* slot = route_it->second.slot;
+  // Live already if another invocation completed activation while this one
+  // waited.
+  Eject* eject = slot->instance.get();
+  if (eject == nullptr) {
+    const PassiveRep* rep = store_.Get(slot->uid);
     if (rep == nullptr) {
       SendReply(id, Status(StatusCode::kNoSuchEject, "passive rep vanished"), Value());
       return;
     }
-    NodeId prev = PushCreationNode(home);
+    NodeId prev = PushCreationNode(slot->node);
     std::unique_ptr<Eject> fresh = types_.Make(rep->type_name, *this);
     PopCreationNode(prev);
     if (fresh == nullptr) {
@@ -611,29 +598,18 @@ void Kernel::ActivateThenDispatch(InvocationId id, std::string op, Value args) {
       return;
     }
     // Re-bind the stored identity: the reactivated instance *is* the old
-    // Eject, so it keeps the old UID (a fresh one was allocated by the base
-    // constructor; release it and its home entry).
-    shard.epochs.erase(fresh->uid_);
-    {
-      std::unique_lock<std::shared_mutex> lock(homes_mu_);
-      home_nodes_.erase(fresh->uid_);
-    }
-    fresh->uid_ = target;
-    fresh->node_ = rep->home_node;
-    if (shard.epochs.find(target) == shard.epochs.end()) {
-      shard.epochs[target] = 1;
-    }
+    // Eject, so it takes the old UID's row, epoch and all. The fresh UID the
+    // base constructor drew keeps its empty row: rows are never erased, so
+    // nothing that captured it can dangle.
+    fresh->slot_ = slot;
     Eject* raw = fresh.get();
-    EjectEntry entry;
-    entry.instance = std::move(fresh);
-    entry.node = rep->home_node;
-    shard.registry[target] = std::move(entry);
+    slot->instance = std::move(fresh);
     stats_.activations.fetch_add(1, std::memory_order_relaxed);
     std::optional<Value> state = Codec::Decode(rep->state);
     raw->RestoreState(state.has_value() ? *state : Value());
     raw->OnActivate();
     eject = raw;
-    EDEN_LOG(*this, kInfo) << "activated " << raw->type_name() << " " << target.Short();
+    EDEN_LOG(*this, kInfo) << "activated " << raw->type_name() << " " << slot->uid.Short();
   }
   DispatchTo(*eject, id, std::move(op), std::move(args));
 }
@@ -684,7 +660,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
 
   // Fault injection: a lost reply keeps the route parked so the caller's
   // deadline can still fire (or a later teardown can answer kUnavailable).
-  if (fault_ != nullptr && !it->second.caller.IsNil() &&
+  if (fault_ != nullptr && it->second.caller != nullptr &&
       fault_->ShouldDropReply()) {
     fault_->replies_dropped_++;
     stats_.messages_dropped.fetch_add(1, std::memory_order_relaxed);
@@ -694,7 +670,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
       event.kind = TraceEvent::Kind::kDrop;
       event.at = now();
       event.from = it->second.target;
-      event.to = it->second.caller;
+      event.to = UidOf(it->second.caller);
       event.op = "reply";
       event.id = id;
       event.parent = it->second.parent;
@@ -716,28 +692,29 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
     event.kind = TraceEvent::Kind::kReply;
     event.at = now();
     event.from = route.target;
-    event.to = route.caller;
+    event.to = UidOf(route.caller);
     event.id = id;
     event.parent = route.parent;
     event.ok = status.ok_or_end();
     Observe(event);
   }
-  Tick cost = options_.costs.MessageCost(bytes, route.target_node, route.caller_node);
-  if (fault_ != nullptr && !route.caller.IsNil()) {
+  const NodeId caller_node = NodeOfSlot(route.caller);
+  Tick cost = options_.costs.MessageCost(bytes, route.target_node, caller_node);
+  if (fault_ != nullptr && route.caller != nullptr) {
     cost += fault_->NextJitter();
   }
-  if (route.caller_node == route.target_node) {
+  if (caller_node == route.target_node) {
     // Same node (same shard): the wait record is consumed when the reply is
     // *sent* — the classic semantics, under which a deadline firing after
     // this instant is moot.
-    Shard& caller_shard = *shards_[ShardOf(route.caller_node)];
+    Shard& caller_shard = *shards_[ShardOf(caller_node)];
     auto wait_it = caller_shard.waits.find(id);
     if (wait_it == caller_shard.waits.end()) {
       return;  // caller withdrew (teardown) between delivery and reply
     }
     WaitRecord wait = std::move(wait_it->second);
     caller_shard.waits.erase(wait_it);
-    ScheduleOn(route.caller_node, now() + cost,
+    ScheduleOn(caller_node, now() + cost,
                [this, wait = std::move(wait), status = std::move(status),
                 result = std::move(result)]() mutable {
                  DeliverReplyToWait(std::move(wait), std::move(status), std::move(result));
@@ -747,7 +724,7 @@ void Kernel::SendReply(InvocationId id, Status status, Value result) {
   // Cross-node: the wait record lives on another shard and is consumed when
   // the reply *arrives* there, so the deadline-vs-reply race is decided by
   // virtual-time arrival order — identical at every shard count.
-  ScheduleOn(route.caller_node, now() + cost,
+  ScheduleOn(caller_node, now() + cost,
              [this, id, status = std::move(status), result = std::move(result)]() mutable {
                DeliverRemoteReply(id, std::move(status), std::move(result));
              });
@@ -762,7 +739,7 @@ void Kernel::DeliverReplyToWait(WaitRecord wait, Status status, Value result) {
     tls_ctx_.span = prev;
     return;
   }
-  if (!EpochValid(wait.caller, wait.caller_epoch)) {
+  if (!Live(wait.caller, wait.caller_epoch)) {
     tls_ctx_.span = prev;
     return;  // caller crashed while the reply was in flight
   }
@@ -793,7 +770,7 @@ void Kernel::FireDeadline(InvocationId id) {
   }
   WaitRecord wait = std::move(it->second);
   shard.waits.erase(it);
-  if (wait.caller_node == wait.target_node) {
+  if (NodeOfSlot(wait.caller) == wait.target_node) {
     // Same shard: also retract the target side, so an undelivered invocation
     // is skipped and a late reply finds nothing — the classic semantics.
     shard.open_replies.erase(id);
@@ -805,7 +782,7 @@ void Kernel::FireDeadline(InvocationId id) {
     event.kind = TraceEvent::Kind::kTimeout;
     event.at = now();
     event.from = wait.target;
-    event.to = wait.caller;
+    event.to = UidOf(wait.caller);
     event.id = id;
     event.parent = wait.parent;
     event.ok = false;
@@ -826,32 +803,27 @@ void Kernel::Checkpoint(Eject& eject) {
              Codec::Encode(eject.SaveState()));
 }
 
-void Kernel::Crash(const Uid& uid) { TearDown(uid, /*is_crash=*/true); }
+void Kernel::Crash(const Uid& uid) { TearDown(Lookup(uid), /*is_crash=*/true); }
 
 void Kernel::CrashNode(NodeId node) {
-  std::vector<Uid> victims;
-  for (const auto& [uid, entry] : shards_[ShardOf(node)]->registry) {
-    if (entry.node == node) {
-      victims.push_back(uid);
+  for (EjectSlot* slot : LiveSlots()) {
+    if (slot->node == node) {
+      TearDown(slot, /*is_crash=*/true);
     }
-  }
-  for (const Uid& uid : victims) {
-    TearDown(uid, /*is_crash=*/true);
   }
 }
 
-void Kernel::Deactivate(const Uid& uid) { TearDown(uid, /*is_crash=*/false); }
+void Kernel::Deactivate(const Uid& uid) { TearDown(Lookup(uid), /*is_crash=*/false); }
 
 void Kernel::RequestDeactivate(const Uid& uid) {
   ScheduleAction(0, [this, uid] { Deactivate(uid); });
 }
 
-void Kernel::TearDown(const Uid& uid, bool is_crash) {
-  Shard& shard = HomeShard(uid);
-  auto it = shard.registry.find(uid);
-  if (it == shard.registry.end()) {
+void Kernel::TearDown(EjectSlot* slot, bool is_crash) {
+  if (slot == nullptr || slot->instance == nullptr) {
     return;
   }
+  const Uid& uid = slot->uid;
   if (is_crash) {
     stats_.crashes.fetch_add(1, std::memory_order_relaxed);
     if (observing()) {
@@ -860,7 +832,7 @@ void Kernel::TearDown(const Uid& uid, bool is_crash) {
       event.at = now();
       event.from = uid;
       event.to = uid;
-      event.op = it->second.instance->type_name();
+      event.op = slot->instance->type_name();
       event.parent = current_span();
       event.ok = false;
       Observe(event);
@@ -868,12 +840,11 @@ void Kernel::TearDown(const Uid& uid, bool is_crash) {
   } else {
     stats_.passivations.fetch_add(1, std::memory_order_relaxed);
   }
-  shard.epochs[uid]++;  // invalidates every scheduled resumption for this Eject
+  slot->epoch++;  // invalidates every scheduled resumption for this Eject
   // Fail invocations that were delivered but not yet answered: their reply
   // handles are about to be destroyed with the instance.
-  FailDeliveredPendingFor(shard, uid);
-  std::unique_ptr<Eject> dying = std::move(it->second.instance);
-  shard.registry.erase(it);
+  FailDeliveredPendingFor(*shards_[ShardOf(slot->node)], uid);
+  std::unique_ptr<Eject> dying = std::move(slot->instance);
   EDEN_LOG(*this, kInfo) << (is_crash ? "crash " : "deactivate ") << uid.Short();
   dying.reset();  // destroys parked coroutines and reply handles
 }
@@ -892,14 +863,13 @@ void Kernel::FailDeliveredPendingFor(Shard& shard, const Uid& target) {
 
 // ------------------------------------------------------------------- execution
 
-Kernel::Shard* Kernel::MinShard() {
-  Shard* best = nullptr;
-  for (auto& shard : shards_) {
-    if (shard->queue.empty()) {
-      continue;
-    }
-    if (best == nullptr || shard->queue.next_key() < best->queue.next_key()) {
-      best = shard.get();
+int Kernel::MinShard() const {
+  int best = -1;
+  for (int i = 0; i < shard_count(); ++i) {
+    const EventQueue& queue = shards_[i]->queue;
+    if (!queue.empty() &&
+        (best < 0 || queue.next_key() < shards_[best]->queue.next_key())) {
+      best = i;
     }
   }
   return best;
@@ -928,18 +898,12 @@ void Kernel::ExecuteEvent(Shard& shard, int shard_index,
 }
 
 bool Kernel::Step() {
-  Shard* best = MinShard();
-  if (best == nullptr) {
+  int best = MinShard();
+  if (best < 0) {
     return false;
   }
-  int index = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    if (shards_[i].get() == best) {
-      index = static_cast<int>(i);
-      break;
-    }
-  }
-  ExecuteEvent(*best, index, best->queue.Pop(), /*parallel=*/false);
+  Shard& shard = *shards_[best];
+  ExecuteEvent(shard, best, shard.queue.Pop(), /*parallel=*/false);
   return true;
 }
 
@@ -987,24 +951,6 @@ bool Kernel::RunSequential(const std::function<bool()>& done, uint64_t max_event
   return done ? done() : quiescent();
 }
 
-bool Kernel::Run(uint64_t max_events) {
-  const bool parallel = CanRunParallel();
-  uint64_t events_before = 0;
-  if (profiler_ != nullptr) {
-    profiler_->OnRunStart(shard_count());
-    events_before = stats_.events_processed.load(std::memory_order_relaxed);
-  }
-  bool result = parallel ? RunSharded(nullptr, max_events)
-                         : RunSequential(nullptr, max_events);
-  PublishShardMetrics();
-  if (profiler_ != nullptr) {
-    profiler_->OnRunEnd(
-        stats_.events_processed.load(std::memory_order_relaxed) - events_before,
-        parallel);
-  }
-  return result;
-}
-
 bool Kernel::RunUntil(const std::function<bool()>& done, uint64_t max_events) {
   const bool parallel = CanRunParallel();
   uint64_t events_before = 0;
@@ -1031,8 +977,8 @@ void Kernel::RunFor(Tick duration, uint64_t max_events) {
   }
   Tick deadline = now() + duration;
   for (uint64_t i = 0; i < max_events; ++i) {
-    Shard* best = MinShard();
-    if (best == nullptr || best->queue.next_time() > deadline) {
+    int best = MinShard();
+    if (best < 0 || shards_[best]->queue.next_time() > deadline) {
       break;
     }
     Step();
@@ -1249,6 +1195,10 @@ void Kernel::Observe(const TraceEvent& event) {
     }
     return;
   }
+  FanOutTrace(event);
+}
+
+void Kernel::FanOutTrace(const TraceEvent& event) {
   if (tracer_) {
     tracer_(event);
   }
@@ -1278,17 +1228,9 @@ void Kernel::ObserveQueueDepthSlow(StreamComponent component, const Uid& owner,
   if (metrics_ != nullptr) {
     metrics_->RecordQueueDepth(component, owner, depth);
   }
-  if (telemetry_ == nullptr) {
-    return;
+  if (telemetry_ != nullptr) {
+    ObserveStreamRecord(ObsRecord::Kind::kQueueDepth, component, owner, depth);
   }
-  if (ObsRecord* record = BufferRecord(ObsRecord::Kind::kQueueDepth)) {
-    record->code = static_cast<uint8_t>(component);
-    record->from = owner;
-    record->at = now();
-    record->value = depth;
-    return;
-  }
-  telemetry_->OnQueueDepth(component, owner, now(), depth);
 }
 
 void Kernel::ObserveFlowEventSlow(StreamComponent component, const Uid& owner,
@@ -1296,17 +1238,40 @@ void Kernel::ObserveFlowEventSlow(StreamComponent component, const Uid& owner,
   if (metrics_ != nullptr) {
     metrics_->CountFlowEvent(component, owner, event);
   }
+  if (telemetry_ != nullptr) {
+    ObserveStreamRecord(ObsRecord::Kind::kFlowEvent, component, owner,
+                        static_cast<uint64_t>(event));
+  }
+}
+
+void Kernel::ObserveStreamRecord(ObsRecord::Kind kind, StreamComponent component,
+                                 const Uid& owner, uint64_t value) {
+  // Inside a parallel event the record waits for the window merge; anywhere
+  // else it is delivered at once.
+  ObsRecord local;
+  ObsRecord* buffered = BufferRecord(kind);
+  ObsRecord& record = buffered != nullptr ? *buffered : local;
+  record.kind = kind;
+  record.code = static_cast<uint8_t>(component);
+  record.from = owner;
+  record.at = now();
+  record.value = value;
+  if (buffered == nullptr) {
+    DeliverStreamRecord(record);
+  }
+}
+
+void Kernel::DeliverStreamRecord(const ObsRecord& record) {
   if (telemetry_ == nullptr) {
     return;
   }
-  if (ObsRecord* record = BufferRecord(ObsRecord::Kind::kFlowEvent)) {
-    record->code = static_cast<uint8_t>(component);
-    record->flow = static_cast<uint8_t>(event);
-    record->from = owner;
-    record->at = now();
-    return;
+  const auto component = static_cast<StreamComponent>(record.code);
+  if (record.kind == ObsRecord::Kind::kQueueDepth) {
+    telemetry_->OnQueueDepth(component, record.from, record.at, record.value);
+  } else {
+    telemetry_->OnFlowEvent(component, record.from, record.at,
+                            static_cast<FlowEvent>(record.value));
   }
-  telemetry_->OnFlowEvent(component, owner, now(), event);
 }
 
 void Kernel::DispatchRecord(const ObsRecord& record, Shard& shard, TraceEvent& scratch) {
@@ -1324,28 +1289,11 @@ void Kernel::DispatchRecord(const ObsRecord& record, Shard& shard, TraceEvent& s
       scratch.id = record.id;
       scratch.parent = record.parent;
       scratch.ok = record.ok;
-      if (tracer_) {
-        tracer_(scratch);
-      }
-      if (monitor_ != nullptr) {
-        monitor_->OnTraceEvent(scratch);
-      }
-      if (telemetry_ != nullptr) {
-        telemetry_->OnTraceEvent(scratch);
-      }
+      FanOutTrace(scratch);
       break;
     case ObsRecord::Kind::kQueueDepth:
-      if (telemetry_ != nullptr) {
-        telemetry_->OnQueueDepth(static_cast<StreamComponent>(record.code),
-                                 record.from, record.at, record.value);
-      }
-      break;
     case ObsRecord::Kind::kFlowEvent:
-      if (telemetry_ != nullptr) {
-        telemetry_->OnFlowEvent(static_cast<StreamComponent>(record.code),
-                                record.from, record.at,
-                                static_cast<FlowEvent>(record.flow));
-      }
+      DeliverStreamRecord(record);
       break;
     case ObsRecord::Kind::kDeferred:
       shard.deferred[record.value]();

@@ -146,8 +146,8 @@ class InvocationContext {
 // reply is dropped by the pending-invocation machinery.
 class [[nodiscard]] InvokeAwaiter {
  public:
-  InvokeAwaiter(Kernel& kernel, Uid from, Uid target, std::string op, Value args,
-                Tick deadline = 0)
+  InvokeAwaiter(Kernel& kernel, const Eject& from, Uid target, std::string op,
+                Value args, Tick deadline = 0)
       : kernel_(kernel),
         from_(from),
         target_(target),
@@ -162,7 +162,7 @@ class [[nodiscard]] InvokeAwaiter {
  private:
   friend class Kernel;
   Kernel& kernel_;
-  Uid from_;
+  const Eject& from_;
   Uid target_;
   std::string op_;
   Value args_;
@@ -170,10 +170,10 @@ class [[nodiscard]] InvokeAwaiter {
   InvokeResult result_;
 };
 
-// co_await-able virtual-time sleep, bound to a host Eject (nil = external).
+// co_await-able virtual-time sleep, bound to a host Eject.
 class [[nodiscard]] SleepAwaiter {
  public:
-  SleepAwaiter(Kernel& kernel, Uid host, Tick delay)
+  SleepAwaiter(Kernel& kernel, const Eject& host, Tick delay)
       : kernel_(kernel), host_(host), delay_(delay) {}
 
   bool await_ready() const noexcept { return false; }
@@ -182,7 +182,7 @@ class [[nodiscard]] SleepAwaiter {
 
  private:
   Kernel& kernel_;
-  Uid host_;
+  const Eject& host_;
   Tick delay_;
 };
 
@@ -210,6 +210,21 @@ struct KernelOptions {
   // ShardCounters::mailbox_overflows), never blocked on — blocking a sender
   // mid-window could deadlock the barrier.
   size_t mailbox_capacity = 1 << 16;
+};
+
+// One row of the kernel's Eject table (DESIGN.md "Sharded kernel"): where a
+// UID lives and which incarnation of it is current. The kernel mints one per
+// Eject UID and never erases it, so the Eject itself, its wait records and
+// its scheduled resumptions hold a pointer to the row instead of looking the
+// UID up. `uid` and `node` never change; `epoch` and `instance` are touched
+// only by the shard that owns `node`.
+struct EjectSlot {
+  Uid uid;
+  NodeId node = 0;
+  // Bumped by every crash or passivation: a resumption or reply scheduled
+  // for an older epoch finds its coroutine frame gone and is dropped.
+  uint64_t epoch = 1;
+  std::unique_ptr<Eject> instance;  // null while passive
 };
 
 class Kernel {
@@ -255,7 +270,7 @@ class Kernel {
     auto eject = std::make_unique<T>(*this, std::forward<Args>(args)...);
     PopCreationNode(prev);
     T& ref = *eject;
-    AdoptEject(std::move(eject), node);
+    AdoptEject(std::move(eject));
     return ref;
   }
   template <typename T, typename... Args>
@@ -263,8 +278,15 @@ class Kernel {
     return Create<T>(NodeId{0}, std::forward<Args>(args)...);
   }
 
+  // Eject-table lookups: current outside a run and inside an event on the
+  // UID's home shard. A UID this kernel never minted is never active and
+  // lives on node 0.
+  // True while the UID has a live instance (not crashed or passivated).
   bool IsActive(const Uid& uid) const;
+  // The live instance, or null while the Eject is passive.
   Eject* Find(const Uid& uid);
+  // The node the UID was minted on (kNoNode for the nil UID). It never
+  // changes, not even across crash and reactivation.
   NodeId NodeOf(const Uid& uid) const;
   size_t active_eject_count() const;
   // All live Eject UIDs, ascending (deterministic; used by inspect.h).
@@ -300,7 +322,9 @@ class Kernel {
   bool Step();  // processes one event; false if queues empty
   // Runs until quiescent; false if max_events was hit first. Goes wide
   // (shard worker threads) when the options allow it; see KernelOptions.
-  bool Run(uint64_t max_events = kDefaultMaxEvents);
+  bool Run(uint64_t max_events = kDefaultMaxEvents) {
+    return RunUntil(nullptr, max_events);
+  }
   void RunFor(Tick duration, uint64_t max_events = kDefaultMaxEvents);
   bool RunUntil(const std::function<bool()>& done,
                 uint64_t max_events = kDefaultMaxEvents);
@@ -446,14 +470,15 @@ class Kernel {
   UidGenerator& uids();
 
   // ---- Internals used by awaitables and sync primitives.
-  // Allocates a UID and its epoch; called by the Eject base constructor.
-  Uid AllocateEjectUid();
-  uint64_t EpochOf(const Uid& uid) const;
-  bool EpochValid(const Uid& uid, uint64_t epoch) const;
-  // Schedules `h.resume()` at now + delay + context-switch cost, dropped if
-  // the host Eject has been torn down in the meantime.
-  void ScheduleResume(const Uid& host, uint64_t epoch, std::coroutine_handle<> h,
-                      Tick delay = 0);
+  // Mints a UID on the creating node and its table row; called by the Eject
+  // base constructor.
+  EjectSlot* AllocateEjectSlot();
+  // Schedules `h.resume()` on the host's node at now + delay + context-switch
+  // cost. The event holds the host's table row and current epoch, so it is
+  // dropped if the host is crashed or passivated in the meantime — also when
+  // the same UID has been reactivated since. A null host is the external
+  // driver, whose resumptions live as long as the kernel.
+  void ScheduleResume(const Eject* host, std::coroutine_handle<> h, Tick delay = 0);
   void ScheduleAction(Tick delay, std::function<void()> action);
   void CountLocalStep() {
     stats_.local_steps.fetch_add(1, std::memory_order_relaxed);
@@ -465,20 +490,14 @@ class Kernel {
  private:
   friend class InvokeAwaiter;
 
-  struct EjectEntry {
-    std::unique_ptr<Eject> instance;
-    NodeId node = 0;
-  };
-
   // Caller-side record of an in-flight invocation, owned by the caller's
   // shard. Same-node invocations consume it when the reply is *sent* (the
   // classic semantics); cross-node ones when the reply *arrives*, so the
   // deadline-vs-reply race is decided by virtual-time arrival order — a
   // rule both the 1-shard and N-shard executions apply identically.
   struct WaitRecord {
-    Uid caller;  // nil for external invocations
+    const EjectSlot* caller = nullptr;  // null for external invocations
     uint64_t caller_epoch = 0;
-    NodeId caller_node = kNoNode;
     Uid target;
     NodeId target_node = 0;
     Tick deadline = 0;        // 0 = no deadline
@@ -491,10 +510,12 @@ class Kernel {
 
   // Target-side record of a delivered-but-unanswered invocation, owned by
   // the target's shard (it is what a stashed ReplyHandle answers through).
+  // It carries the target's table row, found once at send time, to delivery
+  // and activation.
   struct ReplyRoute {
-    Uid caller;
-    NodeId caller_node = kNoNode;
+    const EjectSlot* caller = nullptr;  // null for external invocations
     Uid target;
+    EjectSlot* slot = nullptr;  // the target's row; null if never minted
     NodeId target_node = 0;
     InvocationId parent = 0;
     Tick sent_at = 0;
@@ -509,10 +530,10 @@ class Kernel {
 
   // A buffered observation: (event key, in-event ordinal) reproduces the
   // sequential fan-out order exactly when shards merge their buffers. Trace
-  // events fan out to tracer/monitor/telemetry; queue-depth and flow-event
-  // records feed telemetry only; a deferred record runs the shard's
-  // `deferred[value]` (EmitInOrder). Plain data, no owned strings: the op
-  // name points into the shard's interned `op_names`.
+  // events fan out to tracer/monitor/telemetry (FanOutTrace); queue-depth and
+  // flow-event records feed telemetry only (DeliverStreamRecord); a deferred
+  // record runs the shard's `deferred[value]` (EmitInOrder). Plain data, no
+  // owned strings: the op name points into the shard's interned `op_names`.
   struct ObsRecord {
     enum class Kind : uint8_t { kTrace, kQueueDepth, kFlowEvent, kDeferred };
     EventKey key;
@@ -520,14 +541,13 @@ class Kernel {
     Kind kind = Kind::kTrace;
     // kTrace: TraceEvent::Kind. kQueueDepth/kFlowEvent: StreamComponent.
     uint8_t code = 0;
-    uint8_t flow = 0;  // kFlowEvent: FlowEvent
     bool ok = true;
     Tick at = 0;
     Uid from;  // the queue owner for kQueueDepth/kFlowEvent
     Uid to;
     InvocationId id = 0;
     InvocationId parent = 0;
-    uint64_t value = 0;  // queue depth, or index into `deferred`
+    uint64_t value = 0;  // queue depth, FlowEvent, or index into `deferred`
     const std::string* op = nullptr;
   };
 
@@ -543,8 +563,6 @@ class Kernel {
   struct alignas(64) Shard {
     EventQueue queue;
     VirtualClock clock;
-    std::map<Uid, EjectEntry> registry;  // ordered: determinism
-    std::unordered_map<Uid, uint64_t, Uid::Hash> epochs;
     std::map<InvocationId, WaitRecord> waits;
     std::map<InvocationId, ReplyRoute> open_replies;
     // Cross-shard inbox; drained into the queue at every window top.
@@ -579,21 +597,29 @@ class Kernel {
 
   size_t BookIndex(NodeId node) const { return static_cast<size_t>(node + 1); }
   NodeBook& BookFor(NodeId node) { return books_[BookIndex(node)]; }
-  Shard& HomeShard(const Uid& uid) { return *shards_[ShardOf(NodeOf(uid))]; }
-  const Shard& HomeShard(const Uid& uid) const {
-    return *shards_[ShardOf(NodeOf(uid))];
+
+  // The UID's table row, or null if this kernel never minted it.
+  EjectSlot* Lookup(const Uid& uid) const;
+  // The rows of live instances, ascending by UID.
+  std::vector<EjectSlot*> LiveSlots() const;
+  // Whether work scheduled for `slot` at `epoch` may still run: the row
+  // holds a live instance of that epoch (null = the external driver).
+  bool Live(const EjectSlot* slot, uint64_t epoch) const {
+    return !shutting_down_ &&
+           (slot == nullptr || (slot->instance != nullptr && slot->epoch == epoch));
   }
 
   NodeId PushCreationNode(NodeId node);
   void PopCreationNode(NodeId prev);
   NodeId CurrentNode() const;
 
-  void AdoptEject(std::unique_ptr<Eject> eject, NodeId node);
+  void AdoptEject(std::unique_ptr<Eject> eject);
   // Central scheduler: stamps the shard-stable key (origin = current node)
   // and routes to `exec`'s shard — directly, or via the outbox when called
   // from a parallel worker targeting another shard.
   void ScheduleOn(NodeId exec, Tick at, EventQueue::Action action);
-  void SendInvocation(Uid from, Uid target, std::string op, Value args,
+  // `from` null: the external driver.
+  void SendInvocation(const Eject* from, Uid target, std::string op, Value args,
                       WaitRecord wait, Tick deadline);
   void DeliverInvocation(InvocationId id, ReplyRoute route, std::string op,
                          Value args);
@@ -602,7 +628,7 @@ class Kernel {
   void DeliverReplyToWait(WaitRecord wait, Status status, Value result);
   void DeliverRemoteReply(InvocationId id, Status status, Value result);
   void FireDeadline(InvocationId id);
-  void TearDown(const Uid& uid, bool is_crash);
+  void TearDown(EjectSlot* slot, bool is_crash);
   void FailDeliveredPendingFor(Shard& shard, const Uid& target);
   // Fans a trace event out to the tracer, the invariant monitor and the
   // telemetry sampler (or, in a parallel phase, buffers it for the
@@ -616,6 +642,13 @@ class Kernel {
   ObsRecord* BufferRecord(ObsRecord::Kind kind);
   void FlushObservations();
   void DispatchRecord(const ObsRecord& record, Shard& shard, TraceEvent& scratch);
+  // One delivery per record kind, shared by the sequential path and the
+  // window merge: a trace event to tracer, monitor and telemetry; a queue
+  // depth or flow event to telemetry (buffered inside a parallel event).
+  void FanOutTrace(const TraceEvent& event);
+  void ObserveStreamRecord(ObsRecord::Kind kind, StreamComponent component,
+                           const Uid& owner, uint64_t value);
+  void DeliverStreamRecord(const ObsRecord& record);
   void ObserveQueueDepthSlow(StreamComponent component, const Uid& owner,
                              size_t depth);
   void ObserveFlowEventSlow(StreamComponent component, const Uid& owner,
@@ -623,7 +656,7 @@ class Kernel {
 
   void ExecuteEvent(Shard& shard, int shard_index, EventQueue::PoppedEvent event,
                     bool parallel);
-  Shard* MinShard();  // shard owning the globally earliest event, or null
+  int MinShard() const;  // index of the shard with the earliest event, or -1
   Tick EffectiveLookahead() const;
   bool CanRunParallel() const;
   bool RunSequential(const std::function<bool()>& done, uint64_t max_events);
@@ -636,8 +669,12 @@ class Kernel {
   KernelOptions options_;
   std::deque<NodeBook> books_;  // index BookIndex(node); [0] = the driver
   std::vector<std::unique_ptr<Shard>> shards_;
-  mutable std::shared_mutex homes_mu_;
-  std::unordered_map<Uid, NodeId, Uid::Hash> home_nodes_;
+  // The Eject table: one row per UID this kernel minted, never erased, so a
+  // row's address is stable for the kernel's life (node-based map). The map
+  // is locked only while shard workers run (`parallel_active_`): outside a
+  // parallel run the driver thread is the only one that can touch it.
+  std::unordered_map<Uid, EjectSlot, Uid::Hash> ejects_;
+  mutable std::shared_mutex ejects_mu_;
   AtomicStats stats_;
   StableStore store_;
   TypeRegistry types_;

@@ -360,5 +360,27 @@ TEST(JsonParseTest, DecodesEscapes) {
   EXPECT_EQ(*v->Field("s").AsStr(), "a\tbA\\");
 }
 
+TEST(JsonParseTest, BoundsNestingDepth) {
+  // Unbounded recursion used to overflow the stack on this input.
+  const std::string hostile(100'000, '[');
+  std::string error;
+  EXPECT_FALSE(JsonParse(hostile, &error).has_value());
+  EXPECT_EQ(error, "nesting deeper than 64 at offset 64");
+  std::string validate_error;
+  EXPECT_FALSE(JsonValidate(hostile, &validate_error));
+  EXPECT_EQ(validate_error, error);
+
+  const std::string deepest = std::string(64, '[') + std::string(64, ']');
+  std::optional<Value> v = JsonParse(deepest, &error);
+  ASSERT_TRUE(v.has_value()) << error;
+  const Value* level = &*v;
+  for (int i = 1; i < 64; ++i) {
+    ASSERT_EQ(level->AsList()->size(), 1u) << i;
+    level = &(*level->AsList())[0];
+  }
+  EXPECT_TRUE(level->AsList()->empty());
+  EXPECT_FALSE(JsonParse("[" + deepest + "]", nullptr).has_value());
+}
+
 }  // namespace
 }  // namespace eden

@@ -83,6 +83,29 @@ class CounterEject : public Eject {
   int64_t count_ = 0;
 };
 
+// A checkpointing Eject whose first process sleeps past a crash and the
+// reactivation that follows it, then bumps the count.
+class SleepyCounter : public Eject {
+ public:
+  static constexpr const char* kType = "SleepyCounter";
+  static constexpr Tick kNap = 10'000;  // outlasts the activation cost
+  explicit SleepyCounter(Kernel& kernel) : Eject(kernel, kType) {
+    Register("Get", [this](InvocationContext ctx) { ctx.Reply(Value(count_)); });
+  }
+  void OnStart() override { Spawn(BumpLater()); }
+  Value SaveState() override { return Value().Set("count", Value(count_)); }
+  void RestoreState(const Value& state) override {
+    count_ = state.Field("count").IntOr(0);
+  }
+
+ private:
+  Task<void> BumpLater() {
+    co_await Sleep(kNap);
+    ++count_;
+  }
+  int64_t count_ = 0;
+};
+
 // A source that parks Read invocations until data is produced: the minimal
 // passive-output Eject.
 class ParkingSource : public Eject {
@@ -315,6 +338,31 @@ TEST(KernelTest, CrashDestroysInternalProcesses) {
   kernel.Crash(uid);
   kernel.Run();  // no dangling resumptions may fire
   EXPECT_FALSE(kernel.IsActive(uid));
+}
+
+// The wakeup belongs to the destroyed incarnation and must not touch the
+// reactivated one (under ASan, resuming it would be a use after free).
+TEST(KernelTest, ResumptionPendingAcrossCrashAndReactivationIsDropped) {
+  Kernel kernel;
+  kernel.types().Register(SleepyCounter::kType,
+                          [](Kernel& k) { return std::make_unique<SleepyCounter>(k); });
+  SleepyCounter& sleepy = kernel.CreateLocal<SleepyCounter>();
+  Uid uid = sleepy.uid();
+  sleepy.Checkpoint();
+  kernel.RunFor(100);  // the process is now asleep until ~kNap
+  kernel.Crash(uid);
+
+  InvokeResult r = kernel.InvokeAndRun(uid, "Get");  // reactivates
+  ASSERT_TRUE(r.ok()) << r.status;
+  EXPECT_EQ(r.value, Value(0));
+  EXPECT_EQ(kernel.stats().activations, 1u);
+  ASSERT_LT(kernel.now(), SleepyCounter::kNap);
+
+  kernel.Run();  // the stale wakeup comes due here and is dropped
+  EXPECT_GT(kernel.now(), SleepyCounter::kNap);
+  r = kernel.InvokeAndRun(uid, "Get");
+  ASSERT_TRUE(r.ok()) << r.status;
+  EXPECT_EQ(r.value, Value(0));
 }
 
 TEST(KernelTest, DeterministicRuns) {

@@ -9,6 +9,7 @@
 // *execution*, never *observation*.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -481,6 +482,113 @@ TEST(ShardedKernel, InlineViolationsAreTracedInShardCountInvariantOrder) {
   EXPECT_EQ(sharded.violations, base.violations);
   EXPECT_EQ(sharded.trace, base.trace);
   EXPECT_EQ(sharded.monitor, base.monitor);
+}
+
+// A checkpointing counter, reactivated from its passive representation.
+class TallyEject : public Eject {
+ public:
+  static constexpr const char* kType = "Tally";
+  explicit TallyEject(Kernel& kernel) : Eject(kernel, kType) {
+    Register("Increment", [this](InvocationContext ctx) { ctx.Reply(Value(++count_)); });
+  }
+  Value SaveState() override { return Value().Set("count", Value(count_)); }
+  void RestoreState(const Value& state) override {
+    count_ = state.Field("count").IntOr(0);
+  }
+
+ private:
+  int64_t count_ = 0;
+};
+
+// After `delay` ticks, increments every target `rounds` times, one
+// invocation at a time, and replies with the sum of the counts it was
+// answered.
+class Incrementer : public Eject {
+ public:
+  Incrementer(Kernel& kernel, std::vector<Uid> targets, int rounds, Tick delay)
+      : Eject(kernel, "Incrementer"),
+        targets_(std::move(targets)),
+        rounds_(rounds),
+        delay_(delay) {
+    RegisterTask("Go", [this](InvocationContext ctx) { return Go(std::move(ctx)); });
+  }
+
+ private:
+  Task<void> Go(InvocationContext ctx) {
+    co_await Sleep(delay_);
+    int64_t sum = 0;
+    for (int round = 0; round < rounds_; ++round) {
+      for (const Uid& target : targets_) {
+        InvokeResult r = co_await Invoke(target, "Increment");
+        sum += r.value.IntOr(0);
+      }
+    }
+    ctx.Reply(Value(sum));
+  }
+
+  std::vector<Uid> targets_;
+  int rounds_;
+  Tick delay_;
+};
+
+struct ReactivationRun {
+  uint64_t activations = 0;
+  uint64_t events = 0;
+  Tick virtual_time = 0;
+  int64_t replies = 0;
+};
+
+// Every counter lives on its own node and is passive when the run starts, so
+// inside the parallel windows the counters' shards mint UIDs (each
+// reactivation's base constructor draws one) while the incrementers' shards
+// look the counters up. Each incrementer starts at its own counter and its
+// own tick: in lockstep they would all wait out the same activation, and no
+// window would hold both a mint and a lookup.
+ReactivationRun RunReactivations(int shards) {
+  constexpr int kCounters = 256;
+  constexpr int kIncrementers = 8;
+  constexpr int kRounds = 4;
+  KernelOptions kernel_options;
+  kernel_options.shards = shards;
+  Kernel kernel(kernel_options);
+  kernel.types().Register(TallyEject::kType,
+                          [](Kernel& k) { return std::make_unique<TallyEject>(k); });
+  std::vector<Uid> counters;
+  for (int i = 0; i < kCounters; ++i) {
+    TallyEject& counter = kernel.Create<TallyEject>(kernel.AddNode("c" + std::to_string(i)));
+    counter.Checkpoint();
+    counters.push_back(counter.uid());
+  }
+  for (const Uid& uid : counters) {
+    kernel.Crash(uid);
+  }
+  ReactivationRun run;
+  for (int i = 0; i < kIncrementers; ++i) {
+    std::vector<Uid> order = counters;
+    std::rotate(order.begin(), order.begin() + i * (kCounters / kIncrementers), order.end());
+    Incrementer& incrementer = kernel.Create<Incrementer>(
+        kernel.AddNode("inc" + std::to_string(i)), std::move(order), kRounds,
+        /*delay=*/Tick{397} * i);  // spread over one activation round trip
+    kernel.ExternalInvoke(incrementer.uid(), "Go", Value(),
+                          [&run](InvokeResult r) { run.replies += r.value.IntOr(0); });
+  }
+  EXPECT_TRUE(kernel.Run());
+  run.activations = kernel.stats().activations;
+  run.events = kernel.stats().events_processed;
+  run.virtual_time = kernel.now();
+  return run;
+}
+
+TEST(ShardedKernel, ReactivationInsideParallelWindowsIsShardCountInvariant) {
+  ReactivationRun base = RunReactivations(/*shards=*/1);
+  // Each counter is reactivated once and answers 1..32 to the 32 increments.
+  EXPECT_EQ(base.activations, 256u);
+  EXPECT_EQ(base.replies, 256 * (32 * 33 / 2));
+  ReactivationRun sharded = RunReactivations(/*shards=*/4);
+  EXPECT_EQ(sharded.activations, base.activations);
+  EXPECT_EQ(sharded.events, base.events);
+  EXPECT_EQ(sharded.virtual_time, base.virtual_time);
+  EXPECT_EQ(sharded.replies, base.replies);
 }
 
 // Deep multi-node soak: the shape bench_scale measures, shrunk so the whole
