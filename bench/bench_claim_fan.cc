@@ -60,7 +60,7 @@ class WriteOnlyCmp : public Eject {
         secondary_(*this, secondary_source, Value(std::string(kChanOut))),
         out_(*this, sink, Value(std::string(kChanIn))) {
     StreamAcceptor::ChannelOptions in;
-    in.capacity = 8;
+    in.hiwat = 8;
     acceptor_.DeclareChannel(std::string(kChanIn), in);
     acceptor_.InstallOps();
   }

@@ -13,14 +13,14 @@ VectorSource::VectorSource(Kernel& kernel, ValueList items, Options options)
       server_(*this),
       demand_(*this) {
   StreamServer::ChannelOptions out;
-  out.capacity = options_.work_ahead;
+  out.hiwat = options_.work_ahead;
   out.lowat = options_.work_ahead_lowat;
   out.capability_only = options_.capability_only_channels;
   out.sequenced = options_.sequenced;
   server_.DeclareChannel(std::string(kChanOut), out);
   if (options_.report_every > 0) {
     StreamServer::ChannelOptions report;
-    report.capacity = options_.work_ahead;
+    report.hiwat = options_.work_ahead;
     report.lowat = options_.work_ahead_lowat;
     report.capability_only = options_.capability_only_channels;
     report.sequenced = options_.sequenced;
@@ -128,7 +128,6 @@ Task<void> PullSink::Pump() {
 PushSink::PushSink(Kernel& kernel, Options options)
     : Eject(kernel, kType), options_(options), acceptor_(*this) {
   StreamAcceptor::ChannelOptions in;
-  in.capacity = options_.capacity;
   in.hiwat = options_.hiwat;
   in.lowat = options_.lowat;
   in.sequenced = options_.sequenced;

@@ -144,8 +144,7 @@ class PullSink : public Eject {
 
 // ------------------------------------------------------------------- PushSink
 struct PushSinkOptions {
-  size_t capacity = 8;     // acts as hiwat when hiwat is 0
-  size_t hiwat = 0;        // block pushers at this depth
+  size_t hiwat = 8;        // block pushers at this depth
   size_t lowat = 0;        // release them below this (0 = derive)
   bool sequenced = false;  // deduplicate redelivered pushes by position
 };

@@ -1,8 +1,16 @@
 #include "src/core/filter_eject.h"
 
 #include <cassert>
+#include <optional>
+#include <utility>
+#include <vector>
 
 namespace eden {
+
+namespace {
+
+// Items emitted by one Transform step, tagged with their channel.
+using EmittedItems = std::vector<std::pair<std::string, Value>>;
 
 EmittedItems ApplyItem(Transform& transform, const Value& item) {
   EmittedItems emitted;
@@ -20,188 +28,75 @@ EmittedItems ApplyEnd(Transform& transform) {
   return emitted;
 }
 
-namespace {
-std::string FilterTypeName(const char* fallback,
-                           const FilterRecoveryOptions& recovery) {
-  return recovery.eject_type.empty() ? std::string(fallback)
-                                     : recovery.eject_type;
-}
 }  // namespace
 
-// ------------------------------------------------------------ ReadOnlyFilter
+// --------------------------------------------------------------- FilterEject
 
-ReadOnlyFilter::ReadOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
-                               Options options)
-    : Eject(kernel, FilterTypeName(kType, options.recovery)),
+FilterEject::FilterEject(Kernel& kernel, const char* type, std::unique_ptr<Transform> transform,
+                         FilterRecoveryOptions recovery, int64_t batch, Tick processing_cost)
+    : Eject(kernel, recovery.eject_type.empty() ? std::string(type) : recovery.eject_type),
       transform_(std::move(transform)),
-      options_(std::move(options)),
-      reader_(*this, options_.source, options_.source_channel,
-              StreamReader::Options{options_.batch, options_.lookahead,
-                                    options_.recovery.effective_deadline(),
-                                    options_.recovery.effective_retry_attempts(),
-                                    options_.recovery.effective_retry_backoff(),
-                                    options_.recovery.enabled}),
-      server_(*this),
-      demand_(*this) {
+      recovery_(std::move(recovery)),
+      batch_(batch),
+      processing_cost_(processing_cost) {
   assert(transform_ != nullptr);
-  std::vector<std::string> channels = transform_->output_channels();
-  assert(!channels.empty());
-  primary_channel_ = channels.front();
-  for (const std::string& name : channels) {
-    StreamServer::ChannelOptions channel_options;
-    channel_options.capacity = options_.work_ahead;
-    channel_options.lowat = options_.work_ahead_lowat;
-    channel_options.capability_only = options_.capability_only_channels;
-    channel_options.sequenced = options_.recovery.enabled;
-    server_.DeclareChannel(name, channel_options);
+  if (recovery_.enabled) {
+    Register("Ping", [](InvocationContext ctx) { ctx.Reply(); });
   }
-  server_.InstallOps();
-  if (options_.recovery.enabled) {
+}
+
+void FilterEject::ReadFrom(Uid source, Value channel, size_t lookahead) {
+  reader_ = std::make_unique<StreamReader>(
+      *this, source, std::move(channel),
+      StreamReader::Options{batch_, lookahead, recovery_.effective_deadline(),
+                            recovery_.effective_retry_attempts(),
+                            recovery_.effective_retry_backoff(), recovery_.enabled});
+  if (recovery_.enabled) {
     // Nothing upstream may be forgotten until our first checkpoint covers it.
-    reader_.set_durable(0);
-    Register("Ping", [](InvocationContext ctx) { ctx.Reply(); });
-  }
-  if (options_.start_on_demand) {
-    server_.set_on_first_demand([this] { demand_.Open(); });
-  } else {
-    demand_.Open();
+    reader_->set_durable(0);
   }
 }
 
-void ReadOnlyFilter::OnStart() { Spawn(Run()); }
-
-void ReadOnlyFilter::OnActivate() { Spawn(Run()); }
-
-Value ReadOnlyFilter::SaveState() {
-  Value state;
-  state.Set("in", Value(reader_.consumed()));
-  state.Set("processed", Value(items_processed_));
-  state.Set("transform", transform_->SaveState());
-  state.Set("server", server_.SaveChannels());
-  return state;
-}
-
-void ReadOnlyFilter::RestoreState(const Value& state) {
-  restored_ = true;
-  items_processed_ = static_cast<uint64_t>(state.Field("processed").IntOr(0));
-  transform_->RestoreState(state.Field("transform"));
-  server_.RestoreChannels(state.Field("server"));
-  uint64_t in = static_cast<uint64_t>(state.Field("in").IntOr(0));
-  reader_.ResumeAt(in);
-  reader_.set_durable(in);
-}
-
-Task<void> ReadOnlyFilter::DoCheckpoint() {
-  co_await Sleep(kernel_.costs().checkpoint);
-  Checkpoint();
-  // Everything the checkpoint consumed is durable here; upstream may drop
-  // it from its replay window.
-  reader_.set_durable(reader_.consumed());
-}
-
-Task<void> ReadOnlyFilter::Run() {
-  const bool recovery = options_.recovery.enabled;
-  if (recovery && !restored_) {
-    // Establish a passive representation before any fault can land, so a
-    // reactivating invocation always finds one.
-    co_await DoCheckpoint();
-  }
-  // §4 laziness: "each Eject may be programmed so as not to do any work
-  // until it is asked for output."
-  co_await demand_.Wait();
-  for (;;) {
-    std::optional<Value> item = co_await reader_.Next();
-    if (!item) {
-      break;
-    }
-    items_processed_++;
-    if (options_.processing_cost > 0) {
-      co_await Sleep(options_.processing_cost);
-    }
-    for (auto& [channel, value] : ApplyItem(*transform_, *item)) {
-      co_await server_.Write(channel, std::move(value));
-    }
-    if (transform_->Done()) {
-      break;  // lazy pull: stop issuing Transfers; even infinite upstreams end
-    }
-    if (recovery && items_processed_ % options_.recovery.checkpoint_every == 0) {
-      co_await DoCheckpoint();
-    }
-  }
-  if (!reader_.status().ok_or_end()) {
-    // Upstream crashed mid-stream: propagate the failure instead of
-    // masquerading as a clean end.
-    server_.AbortAll(reader_.status());
-    co_return;
-  }
-  for (auto& [channel, value] : ApplyEnd(*transform_)) {
-    co_await server_.Write(channel, std::move(value));
-  }
-  server_.CloseAll();
-  if (recovery) {
-    // Final checkpoint: a crash after this still serves the tail (and the
-    // end markers) from the restored replay window.
-    co_await DoCheckpoint();
-  }
-}
-
-// ----------------------------------------------------------- WriteOnlyFilter
-
-WriteOnlyFilter::WriteOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
-                                 Options options)
-    : Eject(kernel, FilterTypeName(kType, options.recovery)),
-      transform_(std::move(transform)),
-      options_(std::move(options)),
-      acceptor_(*this) {
-  assert(transform_ != nullptr);
-  StreamAcceptor::ChannelOptions in;
-  in.capacity = options_.input_capacity;
-  in.hiwat = options_.input_hiwat;
-  in.lowat = options_.input_lowat;
-  in.sequenced = options_.recovery.enabled;
-  acceptor_.DeclareChannel(std::string(kChanIn), in);
-  acceptor_.InstallOps();
-  if (options_.recovery.enabled) {
-    // Until the first checkpoint, advertise nothing as durable: the sender
-    // must keep its whole replay window for us.
-    acceptor_.SetDurable(kChanIn, 0);
-    Register("Ping", [](InvocationContext ctx) { ctx.Reply(); });
-  }
-}
-
-void WriteOnlyFilter::BindOutput(const std::string& channel, Uid sink,
-                                 Value sink_channel) {
-  StreamWriter::Options writer{options_.batch,
-                               options_.recovery.effective_deadline(),
-                               options_.recovery.effective_retry_attempts(),
-                               options_.recovery.effective_retry_backoff(),
-                               options_.recovery.enabled};
+void FilterEject::BindOutput(const std::string& channel, Uid sink, Value sink_channel) {
+  StreamWriter::Options writer{batch_, recovery_.effective_deadline(),
+                               recovery_.effective_retry_attempts(),
+                               recovery_.effective_retry_backoff(),
+                               recovery_.enabled};
   writers_[channel] =
       std::make_unique<StreamWriter>(*this, sink, std::move(sink_channel), writer);
 }
 
-void WriteOnlyFilter::OnStart() { Spawn(Run()); }
-
-void WriteOnlyFilter::OnActivate() { Spawn(Run()); }
-
-Value WriteOnlyFilter::SaveState() {
+Value FilterEject::SaveState() {
   Value state;
-  state.Set("in", acceptor_.SaveChannels());
+  state.Set("in", reader_ ? Value(reader_->consumed()) : acceptor_->SaveChannels());
   state.Set("processed", Value(items_processed_));
   state.Set("transform", transform_->SaveState());
-  Value out;
-  for (auto& [channel, writer] : writers_) {
-    out.Set(channel, writer->SaveState());
+  if (server_) {
+    state.Set("server", server_->SaveChannels());
+  } else {
+    Value out;
+    for (auto& [channel, writer] : writers_) {
+      out.Set(channel, writer->SaveState());
+    }
+    state.Set("out", std::move(out));
   }
-  state.Set("out", std::move(out));
   return state;
 }
 
-void WriteOnlyFilter::RestoreState(const Value& state) {
+void FilterEject::RestoreState(const Value& state) {
   restored_ = true;
-  acceptor_.RestoreChannels(state.Field("in"));
   items_processed_ = static_cast<uint64_t>(state.Field("processed").IntOr(0));
   transform_->RestoreState(state.Field("transform"));
+  if (reader_) {
+    uint64_t in = static_cast<uint64_t>(state.Field("in").IntOr(0));
+    reader_->ResumeAt(in);
+    reader_->set_durable(in);
+  } else {
+    acceptor_->RestoreChannels(state.Field("in"));
+  }
+  if (server_) {
+    server_->RestoreChannels(state.Field("server"));
+  }
   const Value& out = state.Field("out");
   for (auto& [channel, writer] : writers_) {
     if (out.HasField(channel)) {
@@ -210,50 +105,133 @@ void WriteOnlyFilter::RestoreState(const Value& state) {
   }
 }
 
-Task<void> WriteOnlyFilter::DoCheckpoint() {
+Task<void> FilterEject::DoCheckpoint() {
   co_await Sleep(kernel_.costs().checkpoint);
   Checkpoint();
-  acceptor_.SetDurable(kChanIn, acceptor_.accepted(kChanIn));
+  // Everything the checkpoint consumed is durable here; upstream may drop
+  // it from its replay window.
+  if (reader_) {
+    reader_->set_durable(reader_->consumed());
+  } else {
+    acceptor_->SetDurable(kChanIn, acceptor_->accepted(kChanIn));
+  }
 }
 
-Task<void> WriteOnlyFilter::Run() {
-  const bool recovery = options_.recovery.enabled;
-  if (recovery && !restored_) {
+Task<void> FilterEject::Run() {
+  if (recovery_.enabled && !restored_) {
+    // Establish a passive representation before any fault can land, so a
+    // reactivating invocation always finds one.
     co_await DoCheckpoint();
   }
+  if (demand_) {
+    // §4 laziness: "each Eject may be programmed so as not to do any work
+    // until it is asked for output."
+    co_await demand_->Wait();
+  }
   for (;;) {
-    std::optional<Value> item = co_await acceptor_.Next(kChanIn);
+    std::optional<Value> item;
+    if (reader_) {
+      item = co_await reader_->Next();
+    } else {
+      item = co_await acceptor_->Next(kChanIn);
+    }
     if (!item) {
       break;
     }
-    if (transform_->Done()) {
+    if (acceptor_ && transform_->Done()) {
       continue;  // cannot stop an active-output upstream: drain and discard
     }
     items_processed_++;
-    if (options_.processing_cost > 0) {
-      co_await Sleep(options_.processing_cost);
+    if (processing_cost_ > 0) {
+      co_await Sleep(processing_cost_);
     }
     for (auto& [channel, value] : ApplyItem(*transform_, *item)) {
-      auto it = writers_.find(channel);
-      if (it != writers_.end()) {
+      if (server_) {
+        co_await server_->Write(channel, std::move(value));
+      } else if (auto it = writers_.find(channel); it != writers_.end()) {
         co_await it->second->Write(std::move(value));
       }
     }
-    if (recovery && items_processed_ % options_.recovery.checkpoint_every == 0) {
+    if (reader_ && transform_->Done()) {
+      break;  // lazy pull: stop issuing Transfers; even infinite upstreams end
+    }
+    if (recovery_.enabled && items_processed_ % recovery_.checkpoint_every == 0) {
       co_await DoCheckpoint();
     }
   }
+  co_await Finish();
+}
+
+Task<void> FilterEject::Finish() {
+  if (server_ && reader_ && !reader_->status().ok_or_end()) {
+    // Upstream crashed mid-stream: propagate the failure instead of
+    // masquerading as a clean end. Only a passive output can: an active
+    // output's Push has no error end, so it ends its writers cleanly.
+    server_->AbortAll(reader_->status());
+    co_return;
+  }
   for (auto& [channel, value] : ApplyEnd(*transform_)) {
-    auto it = writers_.find(channel);
-    if (it != writers_.end()) {
+    if (server_) {
+      co_await server_->Write(channel, std::move(value));
+    } else if (auto it = writers_.find(channel); it != writers_.end()) {
       co_await it->second->Write(std::move(value));
     }
+  }
+  if (server_) {
+    server_->CloseAll();
   }
   for (auto& [channel, writer] : writers_) {
     co_await writer->End();
   }
-  if (recovery) {
+  if (recovery_.enabled) {
+    // Final checkpoint: a crash after this still serves the tail (and the
+    // end markers) from the restored replay window.
     co_await DoCheckpoint();
+  }
+}
+
+// ------------------------------------------------------------ ReadOnlyFilter
+
+ReadOnlyFilter::ReadOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
+                               Options options)
+    : FilterEject(kernel, kType, std::move(transform), std::move(options.recovery),
+                  options.batch, options.processing_cost) {
+  ReadFrom(options.source, std::move(options.source_channel), options.lookahead);
+  server_ = std::make_unique<StreamServer>(*this);
+  demand_ = std::make_unique<Gate>(*this);
+  for (const std::string& name : transform_->output_channels()) {
+    StreamServer::ChannelOptions channel_options;
+    channel_options.hiwat = options.work_ahead;
+    channel_options.lowat = options.work_ahead_lowat;
+    channel_options.capability_only = options.capability_only_channels;
+    channel_options.sequenced = recovery_.enabled;
+    server_->DeclareChannel(name, channel_options);
+  }
+  server_->InstallOps();
+  if (options.start_on_demand) {
+    server_->set_on_first_demand([this] { demand_->Open(); });
+  } else {
+    demand_->Open();
+  }
+}
+
+// ----------------------------------------------------------- WriteOnlyFilter
+
+WriteOnlyFilter::WriteOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
+                                 Options options)
+    : FilterEject(kernel, kType, std::move(transform), std::move(options.recovery),
+                  options.batch, options.processing_cost) {
+  acceptor_ = std::make_unique<StreamAcceptor>(*this);
+  StreamAcceptor::ChannelOptions in;
+  in.hiwat = options.input_hiwat;
+  in.lowat = options.input_lowat;
+  in.sequenced = recovery_.enabled;
+  acceptor_->DeclareChannel(std::string(kChanIn), in);
+  acceptor_->InstallOps();
+  if (recovery_.enabled) {
+    // Until the first checkpoint, advertise nothing as durable: the sender
+    // must keep its whole replay window for us.
+    acceptor_->SetDurable(kChanIn, 0);
   }
 }
 
@@ -262,110 +240,9 @@ Task<void> WriteOnlyFilter::Run() {
 ConventionalFilter::ConventionalFilter(Kernel& kernel,
                                        std::unique_ptr<Transform> transform,
                                        Options options)
-    : Eject(kernel, FilterTypeName(kType, options.recovery)),
-      transform_(std::move(transform)),
-      options_(std::move(options)),
-      reader_(*this, options_.source, options_.source_channel,
-              StreamReader::Options{options_.batch, options_.lookahead,
-                                    options_.recovery.effective_deadline(),
-                                    options_.recovery.effective_retry_attempts(),
-                                    options_.recovery.effective_retry_backoff(),
-                                    options_.recovery.enabled}) {
-  assert(transform_ != nullptr);
-  if (options_.recovery.enabled) {
-    reader_.set_durable(0);
-    Register("Ping", [](InvocationContext ctx) { ctx.Reply(); });
-  }
-}
-
-void ConventionalFilter::BindOutput(const std::string& channel, Uid sink,
-                                    Value sink_channel) {
-  StreamWriter::Options writer{options_.batch,
-                               options_.recovery.effective_deadline(),
-                               options_.recovery.effective_retry_attempts(),
-                               options_.recovery.effective_retry_backoff(),
-                               options_.recovery.enabled};
-  writers_[channel] =
-      std::make_unique<StreamWriter>(*this, sink, std::move(sink_channel), writer);
-}
-
-void ConventionalFilter::OnStart() { Spawn(Run()); }
-
-void ConventionalFilter::OnActivate() { Spawn(Run()); }
-
-Value ConventionalFilter::SaveState() {
-  Value state;
-  state.Set("in", Value(reader_.consumed()));
-  state.Set("processed", Value(items_processed_));
-  state.Set("transform", transform_->SaveState());
-  Value out;
-  for (auto& [channel, writer] : writers_) {
-    out.Set(channel, writer->SaveState());
-  }
-  state.Set("out", std::move(out));
-  return state;
-}
-
-void ConventionalFilter::RestoreState(const Value& state) {
-  restored_ = true;
-  items_processed_ = static_cast<uint64_t>(state.Field("processed").IntOr(0));
-  transform_->RestoreState(state.Field("transform"));
-  uint64_t in = static_cast<uint64_t>(state.Field("in").IntOr(0));
-  reader_.ResumeAt(in);
-  reader_.set_durable(in);
-  const Value& out = state.Field("out");
-  for (auto& [channel, writer] : writers_) {
-    if (out.HasField(channel)) {
-      writer->RestoreState(out.Field(channel));
-    }
-  }
-}
-
-Task<void> ConventionalFilter::DoCheckpoint() {
-  co_await Sleep(kernel_.costs().checkpoint);
-  Checkpoint();
-  reader_.set_durable(reader_.consumed());
-}
-
-Task<void> ConventionalFilter::Run() {
-  const bool recovery = options_.recovery.enabled;
-  if (recovery && !restored_) {
-    co_await DoCheckpoint();
-  }
-  for (;;) {
-    std::optional<Value> item = co_await reader_.Next();
-    if (!item) {
-      break;
-    }
-    items_processed_++;
-    if (options_.processing_cost > 0) {
-      co_await Sleep(options_.processing_cost);
-    }
-    for (auto& [channel, value] : ApplyItem(*transform_, *item)) {
-      auto it = writers_.find(channel);
-      if (it != writers_.end()) {
-        co_await it->second->Write(std::move(value));
-      }
-    }
-    if (transform_->Done()) {
-      break;  // stop pulling; the upstream pipe simply stays full
-    }
-    if (recovery && items_processed_ % options_.recovery.checkpoint_every == 0) {
-      co_await DoCheckpoint();
-    }
-  }
-  for (auto& [channel, value] : ApplyEnd(*transform_)) {
-    auto it = writers_.find(channel);
-    if (it != writers_.end()) {
-      co_await it->second->Write(std::move(value));
-    }
-  }
-  for (auto& [channel, writer] : writers_) {
-    co_await writer->End();
-  }
-  if (recovery) {
-    co_await DoCheckpoint();
-  }
+    : FilterEject(kernel, kType, std::move(transform), std::move(options.recovery),
+                  options.batch, options.processing_cost) {
+  ReadFrom(options.source, std::move(options.source_channel), options.lookahead);
 }
 
 }  // namespace eden

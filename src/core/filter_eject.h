@@ -1,5 +1,5 @@
 // Filter Ejects: one per transput discipline, all wrapping the same
-// Transform.
+// Transform and all running the one FilterEject loop.
 //
 //  * ReadOnlyFilter     — active input + passive output (paper §4, Figure 2)
 //  * WriteOnlyFilter    — passive input + active output (paper §5, Figure 3)
@@ -19,11 +19,9 @@
 #ifndef SRC_CORE_FILTER_EJECT_H_
 #define SRC_CORE_FILTER_EJECT_H_
 
+#include <map>
 #include <memory>
-#include <optional>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "src/core/stream_acceptor.h"
 #include "src/core/stream_reader.h"
@@ -31,14 +29,9 @@
 #include "src/core/stream_writer.h"
 #include "src/core/transform.h"
 #include "src/eden/eject.h"
+#include "src/eden/sync.h"
 
 namespace eden {
-
-// Items emitted by one Transform step, tagged with their channel.
-using EmittedItems = std::vector<std::pair<std::string, Value>>;
-
-EmittedItems ApplyItem(Transform& transform, const Value& item);
-EmittedItems ApplyEnd(Transform& transform);
 
 // Shared fault-tolerance knobs for all three filter shapes.
 struct FilterRecoveryOptions {
@@ -69,7 +62,56 @@ struct FilterRecoveryOptions {
 };
 
 // ---------------------------------------------------------------------------
-// Read-only discipline: the paper's preferred filter shape.
+// The one filter loop the three classes below share: a Transform between an
+// input end (a StreamReader, or a StreamAcceptor on channel "in") and an
+// output end (a StreamServer, or one StreamWriter per bound channel). The
+// ends change two decisions only: a passive input cannot stop an active
+// upstream, so once the Transform is Done() it drains and discards; and only
+// a passive output carries an upstream failure on (Push has no error end).
+class FilterEject : public Eject {
+ public:
+  // Active output: directs output channel `channel` at `sink` (wire channel
+  // `sink_channel`). Must be called before data arrives. Unbound channels
+  // discard.
+  void BindOutput(const std::string& channel, Uid sink, Value sink_channel);
+
+  void OnStart() override { Spawn(Run()); }
+  void OnActivate() override { Spawn(Run()); }
+  // {in, processed, transform, server | out}: the input position, the items
+  // processed, the Transform's state and the undelivered output.
+  Value SaveState() override;
+  void RestoreState(const Value& state) override;
+
+ protected:
+  FilterEject(Kernel& kernel, const char* type, std::unique_ptr<Transform> transform,
+              FilterRecoveryOptions recovery, int64_t batch, Tick processing_cost);
+
+  // Active input: pull channel `channel` of `source`.
+  void ReadFrom(Uid source, Value channel, size_t lookahead);
+
+  std::unique_ptr<Transform> transform_;
+  const FilterRecoveryOptions recovery_;
+  std::unique_ptr<StreamReader> reader_;      // active input
+  std::unique_ptr<StreamAcceptor> acceptor_;  // passive input
+  std::unique_ptr<StreamServer> server_;      // passive output
+  std::map<std::string, std::unique_ptr<StreamWriter>> writers_;  // active output
+  std::unique_ptr<Gate> demand_;  // §4 laziness: opened by the first Transfer
+
+ private:
+  // Finish() has a frame of its own so Run's, allocated with every filter, stays small.
+  Task<void> Run();
+  Task<void> Finish();
+  Task<void> DoCheckpoint();
+
+  int64_t batch_;
+  Tick processing_cost_;
+  uint64_t items_processed_ = 0;
+  bool restored_ = false;  // this incarnation came from a checkpoint
+};
+
+// ---------------------------------------------------------------------------
+// Read-only discipline: active input + passive output, the paper's
+// preferred filter shape (§4, Figure 2).
 struct ReadOnlyFilterOptions {
   Uid source;                       // upstream Eject (must passively output)
   Value source_channel = Value(std::string(kChanOut));
@@ -86,7 +128,7 @@ struct ReadOnlyFilterOptions {
   FilterRecoveryOptions recovery;
 };
 
-class ReadOnlyFilter : public Eject {
+class ReadOnlyFilter : public FilterEject {
  public:
   static constexpr const char* kType = "ReadOnlyFilter";
 
@@ -95,41 +137,21 @@ class ReadOnlyFilter : public Eject {
   ReadOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
                  Options options);
 
-  void OnStart() override;
-  void OnActivate() override;
-  Value SaveState() override;
-  void RestoreState(const Value& state) override;
-
-  StreamServer& server() { return server_; }
-  const std::string& primary_channel() const { return primary_channel_; }
-  uint64_t items_processed() const { return items_processed_; }
-
- private:
-  Task<void> Run();
-  Task<void> DoCheckpoint();
-
-  std::unique_ptr<Transform> transform_;
-  Options options_;
-  StreamReader reader_;
-  StreamServer server_;
-  Gate demand_;
-  std::string primary_channel_;
-  uint64_t items_processed_ = 0;
-  bool restored_ = false;  // this incarnation came from a checkpoint
+  StreamServer& server() { return *server_; }
 };
 
 // ---------------------------------------------------------------------------
-// Write-only discipline: the dual arrangement of §5.
+// Write-only discipline: passive input + active output, the dual
+// arrangement of §5 (Figure 3).
 struct WriteOnlyFilterOptions {
-  size_t input_capacity = 8;  // acts as the input hiwat when input_hiwat is 0
-  size_t input_hiwat = 0;     // withhold Push replies at this depth
+  size_t input_hiwat = 8;     // withhold Push replies at this depth
   size_t input_lowat = 0;     // release them below this (0 = derive)
   int64_t batch = 1;  // items per downstream Push
   Tick processing_cost = 0;  // virtual compute per input item
   FilterRecoveryOptions recovery;
 };
 
-class WriteOnlyFilter : public Eject {
+class WriteOnlyFilter : public FilterEject {
  public:
   static constexpr const char* kType = "WriteOnlyFilter";
 
@@ -137,34 +159,13 @@ class WriteOnlyFilter : public Eject {
 
   WriteOnlyFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
                   Options options = {});
-
-  // Directs output channel `channel` at `sink` (wire channel `sink_channel`).
-  // Must be called before data arrives. Unbound channels discard.
-  void BindOutput(const std::string& channel, Uid sink, Value sink_channel);
-
-  void OnStart() override;
-  void OnActivate() override;
-  Value SaveState() override;
-  void RestoreState(const Value& state) override;
-
-  StreamAcceptor& acceptor() { return acceptor_; }
-  uint64_t items_processed() const { return items_processed_; }
-
- private:
-  Task<void> Run();
-  Task<void> DoCheckpoint();
-
-  std::unique_ptr<Transform> transform_;
-  Options options_;
-  StreamAcceptor acceptor_;
-  std::map<std::string, std::unique_ptr<StreamWriter>> writers_;
-  uint64_t items_processed_ = 0;
-  bool restored_ = false;
 };
 
 // ---------------------------------------------------------------------------
-// Conventional discipline: active both ways; the data pump of §3.
-class ConventionalFilter : public Eject {
+// Conventional discipline: active both ways; the data pump of §3 (Figure 1).
+// The downstream correspondent must perform passive input (a PassiveBuffer
+// or a PushSink).
+class ConventionalFilter : public FilterEject {
  public:
   static constexpr const char* kType = "ConventionalFilter";
 
@@ -179,28 +180,6 @@ class ConventionalFilter : public Eject {
 
   ConventionalFilter(Kernel& kernel, std::unique_ptr<Transform> transform,
                      Options options);
-
-  // The downstream correspondent must perform passive input (a PassiveBuffer
-  // or a PushSink).
-  void BindOutput(const std::string& channel, Uid sink, Value sink_channel);
-
-  void OnStart() override;
-  void OnActivate() override;
-  Value SaveState() override;
-  void RestoreState(const Value& state) override;
-
-  uint64_t items_processed() const { return items_processed_; }
-
- private:
-  Task<void> Run();
-  Task<void> DoCheckpoint();
-
-  std::unique_ptr<Transform> transform_;
-  Options options_;
-  StreamReader reader_;
-  std::map<std::string, std::unique_ptr<StreamWriter>> writers_;
-  uint64_t items_processed_ = 0;
-  bool restored_ = false;
 };
 
 }  // namespace eden

@@ -20,11 +20,10 @@
 namespace eden {
 
 struct PassiveBufferOptions {
-  size_t capacity = 16;
-  // Watermarks for both faces (0 = derive: hiwat from capacity, lowat as
-  // hiwat/2). Producers pushing at the input face block at hiwat and are
-  // released once the face drains below lowat.
-  size_t hiwat = 0;
+  // Watermarks for both faces (lowat 0 = derive as hiwat/2). Producers
+  // pushing at the input face block at hiwat and are released once the face
+  // drains below lowat.
+  size_t hiwat = 16;
   size_t lowat = 0;
   // Fault tolerance: sequence both faces of the pipe, so a restarted
   // neighbour can resend (input face deduplicates) or re-request (output

@@ -22,14 +22,6 @@ std::string_view DisciplineName(Discipline discipline) {
 
 namespace {
 
-NodeId PlaceNext(Kernel& kernel, const PipelineOptions& options, int& counter) {
-  if (!options.distinct_nodes) {
-    return NodeId{0};
-  }
-  return kernel.AddNode("pipe-node-" + std::to_string(counter++),
-                        options.partition_shard);
-}
-
 // ---- Recovery scaffolding.
 
 // A watchdog that periodically invokes every filter. The probe itself is the
@@ -76,16 +68,6 @@ class PipelineMonitor : public Eject {
   std::function<bool()> done_;
 };
 
-FilterRecoveryOptions MakeFilterRecovery(const PipelineOptions& options) {
-  FilterRecoveryOptions recovery;
-  recovery.enabled = options.recovery.enabled;
-  recovery.checkpoint_every = options.recovery.checkpoint_every;
-  recovery.deadline = options.recovery.deadline;
-  recovery.retry_attempts = options.recovery.retry_attempts;
-  recovery.retry_backoff = options.recovery.retry_backoff;
-  return recovery;
-}
-
 // A reactivation type name unique within this kernel. Deterministic given
 // the same build sequence (no global counters: two same-seed kernels in one
 // process must produce byte-identical checkpoints, and the type name is
@@ -102,14 +84,13 @@ std::string UniqueTypeName(Kernel& kernel, const std::string& base) {
   return name;
 }
 
-void MaybeAddMonitor(Kernel& kernel, const PipelineOptions& options,
+void MaybeAddMonitor(Kernel& kernel, const verify::RecoveryKnobs& recovery,
                      PipelineHandle& handle, std::vector<Uid> filters) {
-  if (!options.recovery.enabled || filters.empty()) {
+  if (!recovery.enabled || filters.empty()) {
     return;
   }
   PipelineMonitor& monitor = kernel.Create<PipelineMonitor>(
-      NodeId{0}, std::move(filters), options.recovery.probe_interval,
-      options.recovery.deadline);
+      NodeId{0}, std::move(filters), recovery.probe_interval, recovery.deadline);
   PullSink* pull = handle.pull_sink;
   PushSink* push = handle.push_sink;
   monitor.set_done([pull, push] {
@@ -118,269 +99,115 @@ void MaybeAddMonitor(Kernel& kernel, const PipelineOptions& options,
   handle.monitor = monitor.uid();
 }
 
-PipelineHandle BuildReadOnly(Kernel& kernel, ValueList input,
-                             const std::vector<TransformFactory>& stages,
-                             const PipelineOptions& options) {
-  PipelineHandle handle;
-  handle.discipline = Discipline::kReadOnly;
-  int node_counter = 0;
-  const bool recovery = options.recovery.enabled;
+// One plan stage with its wiring resolved to real UIDs: everything MakeStage
+// needs, kept by value in a filter's reactivation factory.
+struct StageBuild {
+  verify::StageSpec stage;  // ends, watermarks, laziness
+  // The plan's gated recovery knobs; a filter under recovery also gets its
+  // reactivation type here.
+  FilterRecoveryOptions recovery;
+  int64_t batch = 1;
+  size_t lookahead = 0;
+  Tick processing_cost = 0;
+  TransformFactory transform;  // filters
+  Uid upstream;                // active input: the stage it pulls from
+  Value upstream_channel;
+  Uid downstream;              // active output: the stage it pushes to
+  Value downstream_channel;
+};
 
-  VectorSource::Options source_options;
-  source_options.work_ahead = options.work_ahead;
-  source_options.work_ahead_lowat = options.work_ahead_lowat;
-  source_options.start_on_demand = options.start_on_demand;
-  source_options.sequenced = recovery;
-  VectorSource& source = kernel.Create<VectorSource>(
-      PlaceNext(kernel, options, node_counter), std::move(input), source_options);
-  handle.source = source.uid();
-  handle.ejects.push_back(source.uid());
-
-  std::vector<Uid> filter_uids;
-  Uid upstream = source.uid();
-  int stage_index = 0;
-  for (const TransformFactory& factory : stages) {
-    ReadOnlyFilter::Options filter_options;
-    filter_options.source = upstream;
-    filter_options.batch = options.batch;
-    filter_options.lookahead = options.lookahead;
-    filter_options.work_ahead = options.work_ahead;
-    filter_options.work_ahead_lowat = options.work_ahead_lowat;
-    filter_options.start_on_demand = options.start_on_demand;
-    filter_options.processing_cost = options.processing_cost;
-    filter_options.recovery = MakeFilterRecovery(options);
-    if (recovery) {
-      filter_options.recovery.eject_type = UniqueTypeName(
-          kernel, std::string(ReadOnlyFilter::kType) + "/" +
-                      std::to_string(stage_index));
-    }
-    ReadOnlyFilter& filter =
-        kernel.Create<ReadOnlyFilter>(PlaceNext(kernel, options, node_counter),
-                                      factory(), filter_options);
-    if (recovery) {
-      kernel.types().Register(
-          filter_options.recovery.eject_type,
-          [factory, filter_options](Kernel& k) -> std::unique_ptr<Eject> {
-            return std::make_unique<ReadOnlyFilter>(k, factory(), filter_options);
-          });
-      filter_uids.push_back(filter.uid());
-    }
-    handle.ejects.push_back(filter.uid());
-    upstream = filter.uid();
-    stage_index++;
+// The Eject for one plan stage, its class read off the stage's stream ends
+// (§4's taxonomy). BuildPipeline creates every stage with this, and a
+// filter's reactivation factory rebuilds it with this; `input` feeds a
+// source.
+std::unique_ptr<Eject> MakeStage(Kernel& kernel, const StageBuild& build,
+                                 ValueList& input) {
+  const verify::StageSpec& stage = build.stage;
+  if (stage.is_source && stage.passive_output) {
+    VectorSource::Options options;
+    options.work_ahead = stage.hiwat;
+    options.work_ahead_lowat = stage.lowat;
+    options.start_on_demand = stage.lazy;
+    options.sequenced = build.recovery.enabled;
+    return std::make_unique<VectorSource>(kernel, std::move(input), options);
   }
-
-  PullSink::Options sink_options;
-  sink_options.batch = options.batch;
-  sink_options.lookahead = options.lookahead;
-  sink_options.deadline = recovery ? options.recovery.deadline : 0;
-  sink_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  sink_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  sink_options.sequenced = recovery;
-  PullSink& sink = kernel.Create<PullSink>(PlaceNext(kernel, options, node_counter),
-                                           upstream, Value(std::string(kChanOut)),
-                                           sink_options);
-  handle.sink = sink.uid();
-  handle.ejects.push_back(sink.uid());
-  handle.pull_sink = &sink;
-  MaybeAddMonitor(kernel, options, handle, std::move(filter_uids));
-  return handle;
+  if (stage.is_source) {
+    PushSource::Options options;
+    options.batch = build.batch;
+    options.deadline = build.recovery.deadline;
+    options.retry_attempts = build.recovery.retry_attempts;
+    options.retry_backoff = build.recovery.retry_backoff;
+    options.sequenced = build.recovery.enabled;
+    return std::make_unique<PushSource>(kernel, std::move(input), options);
+  }
+  if (stage.is_sink && stage.active_input) {
+    PullSink::Options options;
+    options.batch = build.batch;
+    options.lookahead = build.lookahead;
+    options.deadline = build.recovery.deadline;
+    options.retry_attempts = build.recovery.retry_attempts;
+    options.retry_backoff = build.recovery.retry_backoff;
+    options.sequenced = build.recovery.enabled;
+    return std::make_unique<PullSink>(kernel, build.upstream, build.upstream_channel, options);
+  }
+  if (stage.is_sink) {
+    PushSink::Options options;
+    options.hiwat = stage.hiwat;
+    options.lowat = stage.lowat;
+    options.sequenced = build.recovery.enabled;
+    return std::make_unique<PushSink>(kernel, options);
+  }
+  if (stage.passive_input && stage.passive_output) {
+    PassiveBuffer::Options options;
+    options.hiwat = stage.hiwat;
+    options.lowat = stage.lowat;
+    options.sequenced = build.recovery.enabled;
+    return std::make_unique<PassiveBuffer>(kernel, options);
+  }
+  if (stage.passive_output) {
+    ReadOnlyFilter::Options options;
+    options.source = build.upstream;
+    options.source_channel = build.upstream_channel;
+    options.batch = build.batch;
+    options.lookahead = build.lookahead;
+    options.work_ahead = stage.hiwat;
+    options.work_ahead_lowat = stage.lowat;
+    options.start_on_demand = stage.lazy;
+    options.processing_cost = build.processing_cost;
+    options.recovery = build.recovery;
+    return std::make_unique<ReadOnlyFilter>(kernel, build.transform(), options);
+  }
+  if (stage.passive_input) {
+    WriteOnlyFilter::Options options;
+    options.input_hiwat = stage.hiwat;
+    options.input_lowat = stage.lowat;
+    options.batch = build.batch;
+    options.processing_cost = build.processing_cost;
+    options.recovery = build.recovery;
+    return std::make_unique<WriteOnlyFilter>(kernel, build.transform(), options);
+  }
+  ConventionalFilter::Options options;
+  options.source = build.upstream;
+  options.source_channel = build.upstream_channel;
+  options.batch = build.batch;
+  options.lookahead = build.lookahead;
+  options.processing_cost = build.processing_cost;
+  options.recovery = build.recovery;
+  return std::make_unique<ConventionalFilter>(kernel, build.transform(), options);
 }
 
-PipelineHandle BuildWriteOnly(Kernel& kernel, ValueList input,
-                              const std::vector<TransformFactory>& stages,
-                              const PipelineOptions& options) {
-  PipelineHandle handle;
-  handle.discipline = Discipline::kWriteOnly;
-  int node_counter = 0;
-  const bool recovery = options.recovery.enabled;
-
-  PushSource::Options source_options;
-  source_options.batch = options.batch;
-  source_options.deadline = recovery ? options.recovery.deadline : 0;
-  source_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  source_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  source_options.sequenced = recovery;
-  PushSource& source = kernel.Create<PushSource>(
-      PlaceNext(kernel, options, node_counter), std::move(input), source_options);
-  handle.source = source.uid();
-  handle.ejects.push_back(source.uid());
-
-  std::vector<WriteOnlyFilter*> filters;
-  std::vector<WriteOnlyFilter::Options> filter_option_copies;
-  int stage_index = 0;
-  for (const TransformFactory& factory : stages) {
-    WriteOnlyFilter::Options filter_options;
-    filter_options.batch = options.batch;
-    filter_options.input_capacity = options.acceptor_capacity;
-    filter_options.input_lowat = options.acceptor_lowat;
-    filter_options.processing_cost = options.processing_cost;
-    filter_options.recovery = MakeFilterRecovery(options);
-    if (recovery) {
-      filter_options.recovery.eject_type = UniqueTypeName(
-          kernel, std::string(WriteOnlyFilter::kType) + "/" +
-                      std::to_string(stage_index));
-    }
-    WriteOnlyFilter& filter =
-        kernel.Create<WriteOnlyFilter>(PlaceNext(kernel, options, node_counter),
-                                       factory(), filter_options);
-    handle.ejects.push_back(filter.uid());
-    filters.push_back(&filter);
-    filter_option_copies.push_back(filter_options);
-    stage_index++;
+// Points an active output at its plan successor. The binding is part of the
+// type, not the checkpoint, so a reactivation factory binds too.
+void BindStage(Eject& eject, const StageBuild& build) {
+  if (build.downstream.IsNil()) {
+    return;
   }
-
-  PushSink::Options sink_options;
-  sink_options.capacity = options.acceptor_capacity;
-  sink_options.lowat = options.acceptor_lowat;
-  sink_options.sequenced = recovery;
-  PushSink& sink = kernel.Create<PushSink>(PlaceNext(kernel, options, node_counter),
-                                           sink_options);
-  handle.sink = sink.uid();
-  handle.ejects.push_back(sink.uid());
-  handle.push_sink = &sink;
-
-  // Wire source -> F1 -> ... -> Fn -> sink (data flows with control flow).
-  // Reactivation factories are registered here, once the downstream of each
-  // filter is known: the binding is part of the type, not the checkpoint.
-  Uid downstream = sink.uid();
-  for (size_t i = filters.size(); i-- > 0;) {
-    filters[i]->BindOutput(std::string(kChanOut), downstream,
-                           Value(std::string(kChanIn)));
-    if (recovery) {
-      TransformFactory factory = stages[i];
-      WriteOnlyFilter::Options filter_options = filter_option_copies[i];
-      kernel.types().Register(
-          filter_options.recovery.eject_type,
-          [factory, filter_options, downstream](Kernel& k) -> std::unique_ptr<Eject> {
-            auto fresh =
-                std::make_unique<WriteOnlyFilter>(k, factory(), filter_options);
-            fresh->BindOutput(std::string(kChanOut), downstream,
-                              Value(std::string(kChanIn)));
-            return fresh;
-          });
-    }
-    downstream = filters[i]->uid();
-  }
-  source.BindOutput(downstream, Value(std::string(kChanIn)));
-
-  std::vector<Uid> filter_uids;
-  for (WriteOnlyFilter* filter : filters) {
-    filter_uids.push_back(filter->uid());
-  }
-  MaybeAddMonitor(kernel, options, handle, std::move(filter_uids));
-  return handle;
-}
-
-PipelineHandle BuildConventional(Kernel& kernel, ValueList input,
-                                 const std::vector<TransformFactory>& stages,
-                                 const PipelineOptions& options) {
-  PipelineHandle handle;
-  handle.discipline = Discipline::kConventional;
-  int node_counter = 0;
-  const bool recovery = options.recovery.enabled;
-
-  PushSource::Options source_options;
-  source_options.batch = options.batch;
-  source_options.deadline = recovery ? options.recovery.deadline : 0;
-  source_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  source_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  source_options.sequenced = recovery;
-  PushSource& source = kernel.Create<PushSource>(
-      PlaceNext(kernel, options, node_counter), std::move(input), source_options);
-  handle.source = source.uid();
-  handle.ejects.push_back(source.uid());
-
-  PassiveBuffer::Options pipe_options;
-  pipe_options.capacity = options.pipe_capacity;
-  pipe_options.lowat = options.pipe_lowat;
-  pipe_options.sequenced = recovery;
-
-  // Every junction gets a pipe: source->p0, Fi->pi, Fn->pn->sink (Figure 1,
-  // with the paper's §4 count of n+1 passive buffers).
-  PassiveBuffer& first_pipe = kernel.Create<PassiveBuffer>(
-      PlaceNext(kernel, options, node_counter), pipe_options);
-  handle.ejects.push_back(first_pipe.uid());
-  handle.passive_buffer_count++;
-  source.BindOutput(first_pipe.uid(), Value(std::string(kChanIn)));
-
-  std::vector<Uid> filter_uids;
-  Uid upstream_pipe = first_pipe.uid();
-  int stage_index = 0;
-  for (const TransformFactory& factory : stages) {
-    ConventionalFilter::Options filter_options;
-    filter_options.source = upstream_pipe;
-    filter_options.batch = options.batch;
-    filter_options.lookahead = options.lookahead;
-    filter_options.processing_cost = options.processing_cost;
-    filter_options.recovery = MakeFilterRecovery(options);
-    if (recovery) {
-      filter_options.recovery.eject_type = UniqueTypeName(
-          kernel, std::string(ConventionalFilter::kType) + "/" +
-                      std::to_string(stage_index));
-    }
-    ConventionalFilter& filter =
-        kernel.Create<ConventionalFilter>(PlaceNext(kernel, options, node_counter),
-                                          factory(), filter_options);
-    handle.ejects.push_back(filter.uid());
-
-    PassiveBuffer& pipe = kernel.Create<PassiveBuffer>(
-        PlaceNext(kernel, options, node_counter), pipe_options);
-    handle.ejects.push_back(pipe.uid());
-    handle.passive_buffer_count++;
-    filter.BindOutput(std::string(kChanOut), pipe.uid(), Value(std::string(kChanIn)));
-    if (recovery) {
-      Uid downstream = pipe.uid();
-      kernel.types().Register(
-          filter_options.recovery.eject_type,
-          [factory, filter_options, downstream](Kernel& k) -> std::unique_ptr<Eject> {
-            auto fresh =
-                std::make_unique<ConventionalFilter>(k, factory(), filter_options);
-            fresh->BindOutput(std::string(kChanOut), downstream,
-                              Value(std::string(kChanIn)));
-            return fresh;
-          });
-      filter_uids.push_back(filter.uid());
-    }
-    upstream_pipe = pipe.uid();
-    stage_index++;
-  }
-
-  PullSink::Options sink_options;
-  sink_options.batch = options.batch;
-  sink_options.lookahead = options.lookahead;
-  sink_options.deadline = recovery ? options.recovery.deadline : 0;
-  sink_options.retry_attempts = recovery ? options.recovery.retry_attempts : 0;
-  sink_options.retry_backoff = recovery ? options.recovery.retry_backoff : 0;
-  sink_options.sequenced = recovery;
-  PullSink& sink = kernel.Create<PullSink>(PlaceNext(kernel, options, node_counter),
-                                           upstream_pipe,
-                                           Value(std::string(kChanOut)), sink_options);
-  handle.sink = sink.uid();
-  handle.ejects.push_back(sink.uid());
-  handle.pull_sink = &sink;
-  MaybeAddMonitor(kernel, options, handle, std::move(filter_uids));
-  return handle;
-}
-
-// Role names parallel to handle.ejects. The eject order is fixed by the
-// builders: source, then (for conventional) alternating pipe/filter pairs,
-// then the sink.
-void FillStageNames(PipelineHandle& handle) {
-  handle.stage_names.clear();
-  handle.stage_names.reserve(handle.ejects.size());
-  int filter = 0;
-  int pipe = 0;
-  for (size_t i = 0; i < handle.ejects.size(); ++i) {
-    if (i == 0) {
-      handle.stage_names.push_back("source");
-    } else if (i + 1 == handle.ejects.size()) {
-      handle.stage_names.push_back("sink");
-    } else if (handle.discipline == Discipline::kConventional && i % 2 == 1) {
-      handle.stage_names.push_back("pipe" + std::to_string(pipe++));
-    } else {
-      handle.stage_names.push_back("filter" + std::to_string(++filter));
-    }
+  if (build.stage.is_source) {
+    static_cast<PushSource&>(eject).BindOutput(build.downstream,
+                                               build.downstream_channel);
+  } else {
+    static_cast<FilterEject&>(eject).BindOutput(
+        std::string(kChanOut), build.downstream, build.downstream_channel);
   }
 }
 
@@ -389,33 +216,100 @@ void FillStageNames(PipelineHandle& handle) {
 PipelineHandle BuildPipeline(Kernel& kernel, ValueList input,
                              const std::vector<TransformFactory>& stages,
                              const PipelineOptions& options) {
-  verify::LintReport lint;
+  const verify::TopologySpec plan = PlanTopology(stages.size(), options, kernel);
+  PipelineHandle handle;
+  handle.discipline = options.discipline;
   if (options.lint_before_activate) {
-    lint = LintPipelinePlan(stages.size(), options, kernel);
-    if (!lint.ok()) {
+    handle.lint = verify::PipelineLinter().Lint(plan);
+    if (!handle.lint.ok()) {
       // Refuse activation: no Eject was created, the kernel is untouched.
-      PipelineHandle rejected;
-      rejected.discipline = options.discipline;
-      rejected.lint = std::move(lint);
-      rejected.lint_rejected = true;
-      return rejected;
+      handle.lint_rejected = true;
+      return handle;
     }
   }
-  PipelineHandle handle;
-  switch (options.discipline) {
-    case Discipline::kReadOnly:
-      handle = BuildReadOnly(kernel, std::move(input), stages, options);
-      break;
-    case Discipline::kWriteOnly:
-      handle = BuildWriteOnly(kernel, std::move(input), stages, options);
-      break;
-    case Discipline::kConventional:
-      handle = BuildConventional(kernel, std::move(input), stages, options);
-      break;
+  // Edges name the plan's placeholder UIDs; a stage's real UID sits at the
+  // same position in handle.ejects.
+  auto real = [&plan, &handle](const Uid& planned) {
+    return handle.ejects[static_cast<size_t>(plan.Find(planned) - plan.stages.data())];
+  };
+  FilterRecoveryOptions recovery;
+  recovery.enabled = plan.recovery.enabled;
+  recovery.checkpoint_every = plan.recovery.checkpoint_every;
+  recovery.deadline = plan.recovery.deadline;
+  recovery.retry_attempts = plan.recovery.retry_attempts;
+  recovery.retry_backoff = plan.recovery.retry_backoff;
+  std::vector<StageBuild> builds;
+  builds.reserve(plan.stages.size());
+  handle.stage_names.reserve(plan.stages.size());
+  std::vector<Eject*> created;
+  std::vector<Uid> filter_uids;
+  for (const verify::StageSpec& stage : plan.stages) {
+    NodeId node = stage.node;
+    if (options.distinct_nodes) {
+      [[maybe_unused]] NodeId added = kernel.AddNode(
+          "pipe-node-" + std::to_string(handle.ejects.size()), stage.shard_hint);
+      assert(added == node && "the plan stamps the node ids minted here");
+    }
+    StageBuild& build = builds.emplace_back();
+    build.stage = stage;
+    build.recovery = recovery;
+    build.batch = options.batch;
+    build.lookahead = options.lookahead;
+    build.processing_cost = options.processing_cost;
+    for (const verify::EdgeSpec& edge : plan.edges) {
+      if (edge.mode == verify::EdgeSpec::Mode::kPull && edge.to == stage.uid) {
+        build.upstream = real(edge.from);  // producers precede consumers
+        build.upstream_channel = Value(edge.channel);
+      }
+    }
+    const bool filter = !stage.is_source && !stage.is_sink &&
+                        !(stage.passive_input && stage.passive_output);
+    if (filter) {
+      build.transform = stages[filter_uids.size()];
+      if (recovery.enabled) {
+        build.recovery.eject_type = UniqueTypeName(
+            kernel, stage.type + "/" + std::to_string(filter_uids.size()));
+      }
+    }
+    Eject& eject = kernel.CreateWith(node, [&](Kernel& k) { return MakeStage(k, build, input); });
+    created.push_back(&eject);
+    handle.ejects.push_back(eject.uid());
+    handle.stage_names.push_back(stage.name);
+    if (filter) {
+      filter_uids.push_back(eject.uid());
+    } else if (stage.passive_input && stage.passive_output) {
+      handle.passive_buffer_count++;
+    }
   }
-  assert(!handle.ejects.empty() && "unknown discipline");
-  handle.lint = std::move(lint);
-  FillStageNames(handle);
+  // The plan runs from the source to the sink.
+  handle.source = handle.ejects.front();
+  handle.sink = handle.ejects.back();
+  if (plan.stages.back().active_input) {
+    handle.pull_sink = static_cast<PullSink*>(created.back());
+  } else {
+    handle.push_sink = static_cast<PushSink*>(created.back());
+  }
+  // Push bindings need both ends, so they wait until every stage exists.
+  // Nothing has run yet: creation only scheduled each stage's start.
+  for (size_t i = 0; i < builds.size(); ++i) {
+    StageBuild& build = builds[i];
+    for (const verify::EdgeSpec& edge : plan.edges) {
+      if (edge.mode == verify::EdgeSpec::Mode::kPush && edge.from == build.stage.uid) {
+        build.downstream = real(edge.to);
+        build.downstream_channel = Value(edge.channel);
+      }
+    }
+    BindStage(*created[i], build);
+    if (!build.recovery.eject_type.empty()) {
+      kernel.types().Register(build.recovery.eject_type, [build](Kernel& k) {
+        ValueList no_input;
+        std::unique_ptr<Eject> fresh = MakeStage(k, build, no_input);
+        BindStage(*fresh, build);
+        return fresh;
+      });
+    }
+  }
+  MaybeAddMonitor(kernel, plan.recovery, handle, std::move(filter_uids));
   return handle;
 }
 

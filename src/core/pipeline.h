@@ -12,8 +12,10 @@
 //                            PassiveBuffer: 2n+3 Ejects, 2n+2 invocations
 //                            per datum.
 //
-// The returned handle exposes the collected output and the Eject census so
-// tests and benchmarks can check both the data and the §4 cost claims.
+// BuildPipeline creates the stages of PlanTopology's plan (pipeline_verify.h),
+// the same plan the linter checks. The returned handle exposes the collected
+// output and the Eject census so tests and benchmarks can check both the
+// data and the §4 cost claims.
 #ifndef SRC_CORE_PIPELINE_H_
 #define SRC_CORE_PIPELINE_H_
 
@@ -60,7 +62,7 @@ struct PipelineOptions {
   size_t lookahead = 0;        // reader prefetch (read-only & conventional)
   size_t work_ahead = 4;       // producer-side buffering beyond demand (hiwat)
   size_t work_ahead_lowat = 0; // resume work-ahead below this (0 = derive)
-  size_t pipe_capacity = 16;   // PassiveBuffer capacity/hiwat (conventional)
+  size_t pipe_capacity = 16;   // PassiveBuffer hiwat (conventional)
   size_t pipe_lowat = 0;       // release parked pushers below this (0 = derive)
   size_t acceptor_capacity = 8;   // passive-input hiwat (write-only)
   size_t acceptor_lowat = 0;      // release withheld pushes below this
@@ -88,7 +90,7 @@ struct PipelineHandle {
   Discipline discipline = Discipline::kReadOnly;
   std::vector<Uid> ejects;          // all Ejects, source..sink order
   // Human-readable role of each Eject, parallel to `ejects` ("source",
-  // "filter1", "pipe0", "sink", ...). Filled by BuildPipeline.
+  // "filter1", "pipe0", "sink", ...): the plan's stage names.
   std::vector<std::string> stage_names;
   size_t passive_buffer_count = 0;  // pipes interposed (conventional only)
   Uid source;

@@ -28,8 +28,8 @@ verify::RecoveryKnobs KnobsOf(const PipelineOptions& options) {
   verify::RecoveryKnobs knobs;
   knobs.enabled = options.recovery.enabled;
   if (options.recovery.enabled) {
-    // effective_* gating: disabled recovery zeroes every other knob, exactly
-    // as the builders do when they hand options to filters and endpoints.
+    // effective_* gating: disabled recovery zeroes every other knob, and
+    // BuildPipeline hands these gated knobs to filters and endpoints.
     knobs.deadline = options.recovery.deadline;
     knobs.retry_attempts = options.recovery.retry_attempts;
     knobs.retry_backoff = options.recovery.retry_backoff;
@@ -39,122 +39,88 @@ verify::RecoveryKnobs KnobsOf(const PipelineOptions& options) {
   return knobs;
 }
 
-// Shared shape builder: `uid_of(i)` supplies the stage UID for position i in
+// The Eject class that implements a stage with these ends (§4's taxonomy;
+// BuildPipeline's MakeStage makes the same choice).
+const char* TypeOf(const verify::StageSpec& stage) {
+  if (stage.is_source) {
+    return stage.passive_output ? VectorSource::kType : PushSource::kType;
+  }
+  if (stage.is_sink) {
+    return stage.active_input ? PullSink::kType : PushSink::kType;
+  }
+  if (stage.passive_input && stage.passive_output) {
+    return PassiveBuffer::kType;
+  }
+  if (stage.passive_output) {
+    return ReadOnlyFilter::kType;
+  }
+  return stage.passive_input ? WriteOnlyFilter::kType : ConventionalFilter::kType;
+}
+
+// The one description of every discipline's shape: stages, names, ends,
+// watermarks and edges. `uid_of(i)` supplies the stage UID for position i in
 // source..sink order, so the plan (synthetic UIDs) and the as-built
 // description (handle.ejects) produce structurally identical specs.
+//
+// A discipline is one choice per side: every stage but the source has the
+// discipline's input end, every stage but the sink its output end (read-only:
+// active input, passive output; write-only: the reverse; conventional: active
+// both), and the conventional discipline puts a PassiveBuffer, passive both
+// ways, at every junction (§3-§5).
 template <typename UidOf>
 verify::TopologySpec BuildSpec(size_t stage_count,
                                const PipelineOptions& options, UidOf uid_of) {
+  const bool read_only = options.discipline == Discipline::kReadOnly;
+  const bool write_only = options.discipline == Discipline::kWriteOnly;
+  const bool pipes = options.discipline == Discipline::kConventional;
+  const size_t count = PredictedEjectCount(options.discipline, stage_count);
   verify::TopologySpec spec;
+  spec.stages.reserve(count);
+  spec.edges.reserve(count);
   spec.flavor = FlavorOf(options.discipline);
   spec.recovery = KnobsOf(options);
-  const bool lazy = options.discipline == Discipline::kReadOnly &&
-                    options.start_on_demand;
-
-  size_t position = 0;
-  auto add = [&](std::string name, std::string type,
-                 verify::StageSpec ends) -> verify::StageSpec& {
-    ends.uid = uid_of(position++);
-    ends.name = std::move(name);
-    ends.type = std::move(type);
-    return spec.AddStage(std::move(ends));
+  auto watermark = [](verify::StageSpec& stage, size_t hiwat, size_t lowat) {
+    stage.bounded = true;
+    stage.hiwat = hiwat;
+    stage.lowat = lowat;
   };
-  auto watermark = [](verify::StageSpec& ends, size_t hiwat, size_t lowat) {
-    ends.bounded = true;
-    ends.hiwat = hiwat;
-    ends.lowat = lowat;
-  };
-
-  switch (options.discipline) {
-    case Discipline::kReadOnly: {
-      verify::StageSpec source;
-      source.is_source = true;
-      source.passive_output = true;
-      source.lazy = lazy;
-      watermark(source, options.work_ahead, options.work_ahead_lowat);
-      Uid upstream = add("source", VectorSource::kType, source).uid;
-      for (size_t i = 0; i < stage_count; ++i) {
-        verify::StageSpec filter;
-        filter.active_input = true;
-        filter.passive_output = true;
-        filter.lazy = lazy;
-        watermark(filter, options.work_ahead, options.work_ahead_lowat);
-        Uid uid = add("filter" + std::to_string(i + 1),
-                      ReadOnlyFilter::kType, filter)
-                      .uid;
-        spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPull, std::string(kChanOut));
-        upstream = uid;
-      }
-      verify::StageSpec sink;
-      sink.is_sink = true;
-      sink.active_input = true;
-      Uid uid = add("sink", PullSink::kType, sink).uid;
-      spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPull, std::string(kChanOut));
-      break;
+  for (size_t i = 0; i < count; ++i) {
+    verify::StageSpec stage;
+    stage.uid = uid_of(i);
+    stage.is_source = i == 0;
+    stage.is_sink = i + 1 == count;
+    if (pipes && i % 2 == 1) {
+      stage.passive_input = stage.passive_output = true;
+      stage.name = "pipe" + std::to_string(i / 2);
+    } else {
+      stage.active_input = !stage.is_source && !write_only;
+      stage.passive_input = !stage.is_source && write_only;
+      stage.active_output = !stage.is_sink && !read_only;
+      stage.passive_output = !stage.is_sink && read_only;
+      stage.name = stage.is_source ? "source"
+                   : stage.is_sink ? "sink"
+                                   : "filter" + std::to_string(pipes ? i / 2 : i);
     }
-    case Discipline::kWriteOnly: {
-      verify::StageSpec source;
-      source.is_source = true;
-      source.active_output = true;
-      Uid upstream = add("source", PushSource::kType, source).uid;
-      for (size_t i = 0; i < stage_count; ++i) {
-        verify::StageSpec filter;
-        filter.passive_input = true;
-        filter.active_output = true;
-        watermark(filter, options.acceptor_capacity, options.acceptor_lowat);
-        Uid uid = add("filter" + std::to_string(i + 1),
-                      WriteOnlyFilter::kType, filter)
-                      .uid;
-        spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPush, std::string(kChanIn));
-        upstream = uid;
-      }
-      verify::StageSpec sink;
-      sink.is_sink = true;
-      sink.passive_input = true;
-      watermark(sink, options.acceptor_capacity, options.acceptor_lowat);
-      Uid uid = add("sink", PushSink::kType, sink).uid;
-      spec.Connect(upstream, uid, verify::EdgeSpec::Mode::kPush, std::string(kChanIn));
-      break;
+    stage.type = TypeOf(stage);
+    // §4 laziness applies to the read-only discipline's passive outputs.
+    stage.lazy = stage.passive_output && read_only && options.start_on_demand;
+    // The bounded queue sits at the passive ends: a pipe's store, a passive
+    // input's withheld Push replies, a passive output's work-ahead.
+    if (stage.passive_input && stage.passive_output) {
+      watermark(stage, options.pipe_capacity, options.pipe_lowat);
+    } else if (stage.passive_input) {
+      watermark(stage, options.acceptor_capacity, options.acceptor_lowat);
+    } else if (stage.passive_output) {
+      watermark(stage, options.work_ahead, options.work_ahead_lowat);
     }
-    case Discipline::kConventional: {
-      verify::StageSpec source;
-      source.is_source = true;
-      source.active_output = true;
-      Uid upstream = add("source", PushSource::kType, source).uid;
-      for (size_t i = 0; i < stage_count; ++i) {
-        verify::StageSpec pipe;
-        pipe.passive_input = true;
-        pipe.passive_output = true;
-        watermark(pipe, options.pipe_capacity, options.pipe_lowat);
-        Uid pipe_uid =
-            add("pipe" + std::to_string(i), PassiveBuffer::kType, pipe).uid;
-        spec.Connect(upstream, pipe_uid, verify::EdgeSpec::Mode::kPush,
-                     std::string(kChanIn));
-        verify::StageSpec filter;
-        filter.active_input = true;
-        filter.active_output = true;
-        Uid filter_uid = add("filter" + std::to_string(i + 1),
-                             ConventionalFilter::kType, filter)
-                             .uid;
-        spec.Connect(pipe_uid, filter_uid, verify::EdgeSpec::Mode::kPull,
-                     std::string(kChanOut));
-        upstream = filter_uid;
-      }
-      verify::StageSpec last_pipe;
-      last_pipe.passive_input = true;
-      last_pipe.passive_output = true;
-      watermark(last_pipe, options.pipe_capacity, options.pipe_lowat);
-      Uid pipe_uid = add("pipe" + std::to_string(stage_count),
-                         PassiveBuffer::kType, last_pipe)
-                         .uid;
-      spec.Connect(upstream, pipe_uid, verify::EdgeSpec::Mode::kPush, std::string(kChanIn));
-      verify::StageSpec sink;
-      sink.is_sink = true;
-      sink.active_input = true;
-      Uid sink_uid = add("sink", PullSink::kType, sink).uid;
-      spec.Connect(pipe_uid, sink_uid, verify::EdgeSpec::Mode::kPull, std::string(kChanOut));
-      break;
+    if (i > 0) {
+      // The active end invokes: a pull when this stage reads, else a push.
+      spec.Connect(spec.stages.back().uid, stage.uid,
+                   stage.active_input ? verify::EdgeSpec::Mode::kPull
+                                      : verify::EdgeSpec::Mode::kPush,
+                   std::string(stage.active_input ? kChanOut : kChanIn));
     }
+    spec.AddStage(std::move(stage));
   }
   return spec;
 }
@@ -176,9 +142,9 @@ verify::TopologySpec PlanTopology(size_t stage_count,
   spec.lookahead = kernel.options().lookahead;
   spec.costs = kernel.costs();
   if (options.distinct_nodes) {
-    // PlaceNext mints one fresh node per Eject in creation order, which for
-    // every discipline is BuildSpec's position order, starting at the
-    // kernel's next node id — the ids PlaceNode will scatter at run time.
+    // BuildPipeline adds one fresh node per stage, in plan order, starting
+    // at the kernel's next node id — the ids PlaceNode will scatter at run
+    // time.
     NodeId node = static_cast<NodeId>(kernel.node_count());
     for (verify::StageSpec& stage : spec.stages) {
       stage.node = node++;
@@ -211,13 +177,6 @@ verify::TopologySpec DescribePipeline(const PipelineHandle& handle,
 verify::LintReport LintPipelinePlan(size_t stage_count,
                                     const PipelineOptions& options) {
   return verify::PipelineLinter().Lint(PlanTopology(stage_count, options));
-}
-
-verify::LintReport LintPipelinePlan(size_t stage_count,
-                                    const PipelineOptions& options,
-                                    const Kernel& kernel) {
-  return verify::PipelineLinter().Lint(
-      PlanTopology(stage_count, options, kernel));
 }
 
 }  // namespace eden

@@ -1,7 +1,11 @@
 // Bridge between the pipeline builder and the static verification layer:
 // renders a (stages, options) plan — or a finished PipelineHandle — as the
-// TopologySpec the PipelineLinter analyses. Lives in core so the verify
-// library stays free of runtime pipeline types.
+// TopologySpec the PipelineLinter analyses. The plan is also what
+// BuildPipeline builds: it creates one Eject per plan stage, in plan order,
+// its class, watermarks, laziness, name and wiring all read off the plan.
+// This file is the one place the PipelineOptions watermark and laziness
+// knobs are read. Lives in core so the verify library stays free of runtime
+// pipeline types.
 #ifndef SRC_CORE_PIPELINE_VERIFY_H_
 #define SRC_CORE_PIPELINE_VERIFY_H_
 
@@ -13,19 +17,21 @@
 
 namespace eden {
 
-// The topology BuildPipeline *would* construct for `stage_count` transform
-// stages under `options`, before any Eject exists. Stage UIDs are synthetic
-// placeholders (Uid(0, i+1) in source..sink order); names match the
-// stage_names BuildPipeline will assign, so a diagnostic against the plan
-// reads the same as one against the built pipeline.
+// The topology BuildPipeline constructs for `stage_count` transform stages
+// under `options`, before any Eject exists. Stage UIDs are synthetic
+// placeholders (Uid(0, i+1) in source..sink order); BuildPipeline's
+// stage_names are the plan's names.
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options);
 
 // Same plan, with the concurrency context (shard count, configured
-// lookahead, cost model) read off `kernel` and node placement stamped the
-// way BuildPipeline will mint it (distinct_nodes: position i -> node
-// kernel.node_count() + i, shard_hint = options.partition_shard). Arms the
-// ASC010-ASC012 shard-safety rules; without a kernel they stay silent.
+// lookahead, cost model) read off `kernel` and the node of every stage
+// (distinct_nodes: position i -> node kernel.node_count() + i, shard_hint =
+// options.partition_shard; BuildPipeline adds exactly these nodes). Arms
+// the ASC010-ASC012 shard-safety rules; without a kernel they stay silent.
+// BuildPipeline builds this plan, and lints it when lint_before_activate is
+// set, so a lookahead undercut is an activation error instead of a runtime
+// abort.
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options,
                                   const Kernel& kernel);
@@ -34,18 +40,10 @@ verify::TopologySpec PlanTopology(size_t stage_count,
 verify::TopologySpec DescribePipeline(const PipelineHandle& handle,
                                       const PipelineOptions& options);
 
-// Lints the plan without constructing anything. This is what the
-// lint_before_activate gate in BuildPipeline runs.
+// Lints the plan without constructing anything (the structural rules only:
+// ASC010-ASC012 need the kernel-aware plan).
 verify::LintReport LintPipelinePlan(size_t stage_count,
                                     const PipelineOptions& options);
-
-// Kernel-aware lint: the structural rules plus ASC010-ASC012 against the
-// kernel's actual shard count, lookahead and cost model. This is what the
-// lint_before_activate gate runs, so a lookahead undercut is an activation
-// error instead of a runtime abort.
-verify::LintReport LintPipelinePlan(size_t stage_count,
-                                    const PipelineOptions& options,
-                                    const Kernel& kernel);
 
 }  // namespace eden
 

@@ -16,7 +16,7 @@ void StreamAcceptor::DeclareChannel(std::string name, ChannelOptions options) {
   InChannel channel;
   channel.name = name;
   channel.limits = FlowLimits::Resolve(
-      options.hiwat != 0 ? options.hiwat : options.capacity, options.lowat);
+      options.hiwat, options.lowat);
   channel.sequenced = options.sequenced;
   channel.available = std::make_unique<CondVar>(owner_);
   CondVar* available = channel.available.get();

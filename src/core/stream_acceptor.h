@@ -36,10 +36,9 @@
 namespace eden {
 
 struct StreamAcceptorChannelOptions {
-  // Legacy single-threshold capacity; acts as `hiwat` when hiwat is 0.
-  size_t capacity = 8;
-  // Watermarks (0 = derive: hiwat from capacity, lowat as hiwat/2, min 1).
-  size_t hiwat = 0;
+  // Watermarks: withhold Push replies at hiwat, release them below lowat
+  // (0 = derive as hiwat/2, min 1).
+  size_t hiwat = 8;
   size_t lowat = 0;
   bool capability_only = false;
   // Fault tolerance: pushes carry item positions. Duplicate prefixes (a

@@ -16,7 +16,7 @@ void StreamServer::DeclareChannel(std::string name, ChannelOptions options) {
   OutChannel channel;
   channel.name = name;
   channel.limits = FlowLimits::Resolve(
-      options.hiwat != 0 ? options.hiwat : options.capacity, options.lowat);
+      options.hiwat, options.lowat);
   channel.sequenced = options.sequenced;
   channel.space = std::make_unique<CondVar>(owner_);
   CondVar* space = channel.space.get();

@@ -7,7 +7,7 @@
 //
 // This is that library module. The owner Eject's worker processes call
 // Write() (which blocks when the work-ahead buffer is full — or, with
-// capacity 0, until a consumer actually asks: full laziness); incoming
+// hiwat 0, until a consumer actually asks: full laziness); incoming
 // Transfer invocations drain the buffer, parking when it is empty. The
 // parked Transfer requests are §4's "partial vacuum".
 #ifndef SRC_CORE_STREAM_SERVER_H_
@@ -30,12 +30,10 @@ namespace eden {
 struct StreamServerChannelOptions {
   // Work-ahead limit: how many items the producer may buffer beyond
   // demand. 0 = pure laziness (produce only in response to a Transfer).
-  // Acts as `hiwat` when hiwat is 0.
-  size_t capacity = 4;
-  // Watermarks (0 = derive: hiwat from capacity, lowat as hiwat/2, min 1).
+  size_t hiwat = 4;
   // A producer blocked at hiwat is released only once the buffer has
   // drained below lowat (hysteresis): one wakeup per drain cycle.
-  size_t hiwat = 0;
+  // 0 = derive as hiwat/2, min 1.
   size_t lowat = 0;
   // If set, the channel can be addressed only via capabilities minted by
   // OpenChannel; integer/name identifiers act as if the channel does not

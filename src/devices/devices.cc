@@ -193,7 +193,7 @@ KeyboardSource::KeyboardSource(Kernel& kernel, std::vector<Keystroke> script)
   StreamServer::ChannelOptions out;
   // Typed input is never throttled by the reader: effectively unbounded, as
   // a real keyboard buffer would (approximately) be.
-  out.capacity = 1 << 20;
+  out.hiwat = 1 << 20;
   server_.DeclareChannel(std::string(kChanOut), out);
   server_.InstallOps();
 }

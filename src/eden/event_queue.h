@@ -42,15 +42,24 @@ struct EventKey {
   }
 };
 
+// One scheduled event: the shard-stable key, the node the action executes
+// on behalf of (`exec` selects the shard and the execution context; it may
+// differ from `key.origin`, e.g. a cross-node delivery executes on the
+// target), and the action. The heap, Pop() and the kernel's cross-shard
+// mailboxes all hold this one type.
+struct ScheduledEvent {
+  EventKey key;
+  NodeId exec = kNoNode;
+  std::function<void()> action;
+};
+
 class EventQueue {
  public:
   using Action = std::function<void()>;
 
-  // Full form: shard-stable key plus the node the action executes on behalf
-  // of (`exec` selects the shard and the execution context; it may differ
-  // from `key.origin`, e.g. a cross-node delivery executes on the target).
+  // Full form: shard-stable key plus the executing node.
   void Schedule(EventKey key, NodeId exec, Action action) {
-    heap_.push(Event{key, exec, std::move(action)});
+    heap_.push(ScheduledEvent{key, exec, std::move(action)});
     scheduled_total_++;
   }
 
@@ -66,16 +75,10 @@ class EventQueue {
   const EventKey& next_key() const { return heap_.top().key; }
 
   // Pops and returns the earliest event. Precondition: !empty().
-  struct PoppedEvent {
-    EventKey key;
-    NodeId exec = kNoNode;
-    Action action;
-  };
-  PoppedEvent Pop() {
+  ScheduledEvent Pop() {
     // std::priority_queue::top() is const; the action must be moved out, so
     // we const_cast the owned element just before popping.
-    Event& ev = const_cast<Event&>(heap_.top());
-    PoppedEvent popped{ev.key, ev.exec, std::move(ev.action)};
+    ScheduledEvent popped = std::move(const_cast<ScheduledEvent&>(heap_.top()));
     heap_.pop();
     return popped;
   }
@@ -83,16 +86,13 @@ class EventQueue {
   uint64_t scheduled_total() const { return scheduled_total_; }
 
  private:
-  struct Event {
-    EventKey key;
-    NodeId exec;
-    Action action;
-  };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const { return b.key < a.key; }
+    bool operator()(const ScheduledEvent& a, const ScheduledEvent& b) const {
+      return b.key < a.key;
+    }
   };
 
-  std::priority_queue<Event, std::vector<Event>, Later> heap_;
+  std::priority_queue<ScheduledEvent, std::vector<ScheduledEvent>, Later> heap_;
   uint64_t next_seq_ = 0;
   uint64_t scheduled_total_ = 0;
 };

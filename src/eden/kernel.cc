@@ -359,7 +359,7 @@ void Kernel::ScheduleOn(NodeId exec, Tick at, EventQueue::Action action) {
         std::abort();
       }
     }
-    tls_ctx_.shard->outbox[target].push_back(MailItem{key, exec, std::move(action)});
+    tls_ctx_.shard->outbox[target].push_back(ScheduledEvent{key, exec, std::move(action)});
     tls_ctx_.shard->counters.cross_shard_sends++;
     return;
   }
@@ -876,7 +876,7 @@ int Kernel::MinShard() const {
 }
 
 void Kernel::ExecuteEvent(Shard& shard, int shard_index,
-                          EventQueue::PoppedEvent event, bool parallel) {
+                          ScheduledEvent event, bool parallel) {
   assert(event.key.at >= shard.clock.now() && "virtual time must be monotone");
   shard.clock.AdvanceTo(event.key.at);
   ExecContext saved = tls_ctx_;
@@ -997,7 +997,7 @@ void Kernel::RunFor(Tick duration, uint64_t max_events) {
 }
 
 void Kernel::DrainMailbox(Shard& shard) {
-  std::vector<MailItem> incoming;
+  std::vector<ScheduledEvent> incoming;
   {
     std::lock_guard<std::mutex> lock(shard.mailbox_mu);
     incoming.swap(shard.mailbox);
@@ -1008,21 +1008,21 @@ void Kernel::DrainMailbox(Shard& shard) {
   if (incoming.size() > options_.mailbox_capacity) {
     shard.counters.mailbox_overflows++;
   }
-  for (MailItem& item : incoming) {
+  for (ScheduledEvent& item : incoming) {
     shard.queue.Schedule(item.key, item.exec, std::move(item.action));
   }
 }
 
 void Kernel::FlushOutboxes(Shard& shard) {
   for (size_t target = 0; target < shard.outbox.size(); ++target) {
-    std::vector<MailItem>& box = shard.outbox[target];
+    std::vector<ScheduledEvent>& box = shard.outbox[target];
     if (box.empty()) {
       continue;
     }
     Shard& receiver = *shards_[target];
     {
       std::lock_guard<std::mutex> lock(receiver.mailbox_mu);
-      for (MailItem& item : box) {
+      for (ScheduledEvent& item : box) {
         receiver.mailbox.push_back(std::move(item));
       }
     }

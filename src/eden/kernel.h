@@ -266,10 +266,18 @@ class Kernel {
   // Constructs an Eject of concrete type T on `node` and registers it.
   template <typename T, typename... Args>
   T& Create(NodeId node, Args&&... args) {
+    return static_cast<T&>(CreateWith(node, [&](Kernel& kernel) {
+      return std::make_unique<T>(kernel, std::forward<Args>(args)...);
+    }));
+  }
+  // As Create, for a type chosen at run time: `make(kernel)` returns the
+  // instance, the factory shape TypeRegistry keeps for reactivation.
+  template <typename Make>
+  Eject& CreateWith(NodeId node, Make&& make) {
     NodeId prev = PushCreationNode(node);
-    auto eject = std::make_unique<T>(*this, std::forward<Args>(args)...);
+    std::unique_ptr<Eject> eject = make(*this);
     PopCreationNode(prev);
-    T& ref = *eject;
+    Eject& ref = *eject;
     AdoptEject(std::move(eject));
     return ref;
   }
@@ -522,12 +530,6 @@ class Kernel {
     std::string op;  // filled only when metrics are installed
   };
 
-  struct MailItem {
-    EventKey key;
-    NodeId exec = kNoNode;
-    EventQueue::Action action;
-  };
-
   // A buffered observation: (event key, in-event ordinal) reproduces the
   // sequential fan-out order exactly when shards merge their buffers. Trace
   // events fan out to tracer/monitor/telemetry (FanOutTrace); queue-depth and
@@ -567,9 +569,9 @@ class Kernel {
     std::map<InvocationId, ReplyRoute> open_replies;
     // Cross-shard inbox; drained into the queue at every window top.
     std::mutex mailbox_mu;
-    std::vector<MailItem> mailbox;
+    std::vector<ScheduledEvent> mailbox;
     // Per-target staging, flushed (one lock per target) at window end.
-    std::vector<std::vector<MailItem>> outbox;
+    std::vector<std::vector<ScheduledEvent>> outbox;
     // Observations buffered during parallel execution, in execution order.
     std::vector<ObsRecord> observations;
     std::vector<std::function<void()>> deferred;  // EmitInOrder callbacks
@@ -654,7 +656,7 @@ class Kernel {
   void ObserveFlowEventSlow(StreamComponent component, const Uid& owner,
                             FlowEvent event);
 
-  void ExecuteEvent(Shard& shard, int shard_index, EventQueue::PoppedEvent event,
+  void ExecuteEvent(Shard& shard, int shard_index, ScheduledEvent event,
                     bool parallel);
   int MinShard() const;  // index of the shard with the earliest event, or -1
   Tick EffectiveLookahead() const;

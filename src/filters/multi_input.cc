@@ -49,7 +49,7 @@ SedLite::SedLite(Kernel& kernel, StreamRef commands, StreamRef text,
       text_reader_(*this, text.source, text.channel),
       server_(*this) {
   StreamServer::ChannelOptions out;
-  out.capacity = work_ahead;
+  out.hiwat = work_ahead;
   server_.DeclareChannel(std::string(kChanOut), out);
   server_.InstallOps();
 }
@@ -142,7 +142,7 @@ CmpEject::CmpEject(Kernel& kernel, StreamRef left, StreamRef right,
       right_(*this, right.source, right.channel),
       server_(*this) {
   StreamServer::ChannelOptions out;
-  out.capacity = work_ahead;
+  out.hiwat = work_ahead;
   server_.DeclareChannel(std::string(kChanOut), out);
   server_.InstallOps();
 }
@@ -185,7 +185,7 @@ MergeEject::MergeEject(Kernel& kernel, std::vector<StreamRef> inputs,
         std::make_unique<StreamReader>(*this, input.source, input.channel));
   }
   StreamServer::ChannelOptions out;
-  out.capacity = work_ahead;
+  out.hiwat = work_ahead;
   server_.DeclareChannel(std::string(kChanOut), out);
   server_.InstallOps();
 }

@@ -362,7 +362,7 @@ class UndrainedAcceptor : public Eject {
  public:
   explicit UndrainedAcceptor(Kernel& kernel) : Eject(kernel, "Undrained"), acceptor(*this) {
     StreamAcceptor::ChannelOptions options;
-    options.capacity = 2;
+    options.hiwat = 2;
     acceptor.DeclareChannel(std::string(kChanIn), options);
     acceptor.InstallOps();
   }

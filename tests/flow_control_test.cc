@@ -145,11 +145,10 @@ TEST(AcceptorFlowTest, ReleasesOnlyBelowLowat) {
 }
 
 TEST(AcceptorFlowTest, DefaultCapacityActsAsHiwat) {
-  // Legacy surface: capacity alone (no explicit watermarks) resolves to
-  // hiwat = capacity, lowat = capacity / 2.
+  // hiwat alone (no explicit lowat) resolves to lowat = hiwat / 2.
   Kernel kernel;
   StreamAcceptor::ChannelOptions options;
-  options.capacity = 8;
+  options.hiwat = 8;
   ManualSink& sink = kernel.CreateLocal<ManualSink>(options);
   EXPECT_EQ(sink.acceptor.limits(kChanIn).hiwat, 8u);
   EXPECT_EQ(sink.acceptor.limits(kChanIn).lowat, 4u);
@@ -520,7 +519,7 @@ TEST(BandTest, ControlOvertakesASaturatedPassiveBuffer) {
   // the per-band service loops never let it queue behind stuck data.
   Kernel kernel;
   PassiveBuffer::Options popt;
-  popt.capacity = 3;
+  popt.hiwat = 3;
   PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>(popt);
 
   class Producer : public Eject {

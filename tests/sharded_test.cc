@@ -17,12 +17,14 @@
 #include "src/core/pipeline.h"
 #include "src/devices/devices.h"
 #include "src/eden/analysis.h"
+#include "src/eden/fault.h"
 #include "src/eden/json.h"
 #include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 #include "src/eden/random.h"
 #include "src/eden/telemetry.h"
 #include "src/eden/trace.h"
+#include "src/eden/verify/shard_audit.h"
 #include "src/filters/transforms.h"
 
 namespace eden {
@@ -615,6 +617,82 @@ TEST(ShardedStress, DeepDistinctNodePipelineMatchesSequential) {
   EXPECT_EQ(actual, expected);
   EXPECT_TRUE(sharded.quiescent());
   EXPECT_EQ(sequential.now(), sharded.now());
+}
+
+// ---- Pinned determinism certificates.
+//
+// audit_figures compares certificates across shard counts within one build,
+// so a change that reorders events at every shard count alike passes it.
+// These runs compare against constants instead: Figures 1-3 at
+// audit_figures' parameters (120 lines, four copy stages, every Eject on its
+// own node) at 1 and 4 shards, plus one recovery run per discipline under a
+// seeded FaultInjector. A change that moves events on purpose re-records the
+// constants and says so in CHANGES.md.
+struct PinnedRun {
+  Discipline discipline;
+  bool faults;  // recovery enabled, seeded message loss
+  uint64_t events;
+  const char* digest;
+};
+
+verify::RunDigest RunAudited(const PinnedRun& pinned, int shards) {
+  KernelOptions kernel_options;
+  kernel_options.shards = shards;
+  Kernel kernel(kernel_options);
+  verify::ShardRaceAnalyzer auditor;
+  kernel.set_auditor(&auditor);
+  FaultPlan plan;
+  plan.seed = 1983;
+  plan.drop_invocation = 0.02;
+  plan.drop_reply = 0.02;
+  FaultInjector injector(plan);
+  PipelineOptions options;
+  options.discipline = pinned.discipline;
+  options.distinct_nodes = true;
+  if (pinned.faults) {
+    options.recovery.enabled = true;
+    kernel.set_fault_injector(&injector);
+  }
+  PipelineHandle handle =
+      BuildPipeline(kernel, MakeLines(120), CopyChain(4), options);
+  EXPECT_TRUE(kernel.RunUntil([&handle] { return handle.done(); }));
+  kernel.Run();
+  EXPECT_EQ(handle.output(), MakeLines(120));
+  if (pinned.faults) {
+    EXPECT_GT(kernel.stats().messages_dropped, 0u);
+  }
+  return auditor.Digest();
+}
+
+TEST(PinnedCertificate, FigureDisciplinesReproduceRecordedDigests) {
+  const PinnedRun runs[] = {
+      {Discipline::kConventional, false, 4181, "0x62144ff97e586ba5"},
+      {Discipline::kReadOnly, false, 1284, "0x4da15daf1c2dc4e6"},
+      {Discipline::kWriteOnly, false, 1466, "0x6c3bfa206bb9cded"},
+  };
+  for (const PinnedRun& run : runs) {
+    for (int shards : {1, 4}) {
+      verify::RunDigest digest = RunAudited(run, shards);
+      EXPECT_EQ(digest.events, run.events)
+          << DisciplineName(run.discipline) << " at " << shards << " shard(s)";
+      EXPECT_EQ(verify::RunDigest::ExpectDigest(digest, run.digest), "")
+          << DisciplineName(run.discipline) << " at " << shards << " shard(s)";
+    }
+  }
+}
+
+TEST(PinnedCertificate, RecoveryUnderFaultsReproducesRecordedDigests) {
+  const PinnedRun runs[] = {
+      {Discipline::kConventional, true, 6380, "0x960e24025dd4acf9"},
+      {Discipline::kReadOnly, true, 2697, "0xc831f0893d733374"},
+      {Discipline::kWriteOnly, true, 2682, "0x1a59699bb4af4865"},
+  };
+  for (const PinnedRun& run : runs) {
+    verify::RunDigest digest = RunAudited(run, 1);
+    EXPECT_EQ(digest.events, run.events) << DisciplineName(run.discipline);
+    EXPECT_EQ(verify::RunDigest::ExpectDigest(digest, run.digest), "")
+        << DisciplineName(run.discipline);
+  }
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ class ManualSource : public Eject {
   explicit ManualSource(Kernel& kernel, size_t capacity = 4)
       : Eject(kernel, "ManualSource"), server(*this) {
     StreamServer::ChannelOptions options;
-    options.capacity = capacity;
+    options.hiwat = capacity;
     server.DeclareChannel(std::string(kChanOut), options);
     server.InstallOps();
   }
@@ -152,7 +152,7 @@ class ManualSink : public Eject {
   explicit ManualSink(Kernel& kernel, size_t capacity = 2)
       : Eject(kernel, "ManualSink"), acceptor(*this) {
     StreamAcceptor::ChannelOptions options;
-    options.capacity = capacity;
+    options.hiwat = capacity;
     acceptor.DeclareChannel(std::string(kChanIn), options);
     acceptor.InstallOps();
   }
@@ -356,7 +356,7 @@ TEST(PassiveBufferTest, CountsItemsThrough) {
 TEST(PassiveBufferTest, CapacityOnePipeStillDeliversEverything) {
   Kernel kernel;
   PassiveBuffer::Options options;
-  options.capacity = 1;
+  options.hiwat = 1;
   PushSource& source = kernel.CreateLocal<PushSource>(MakeInts(20));
   PassiveBuffer& pipe = kernel.CreateLocal<PassiveBuffer>(options);
   PullSink& sink = kernel.CreateLocal<PullSink>(pipe.uid(),
