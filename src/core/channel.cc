@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "src/core/stream.h"
 #include "src/eden/kernel.h"
 
 namespace eden {
@@ -32,6 +33,17 @@ std::optional<Uid> ChannelTable::MintCapability(const std::string& name,
   Uid cap = kernel.uids().Next();
   capabilities_[cap] = name;
   return cap;
+}
+
+void ChannelTable::ServeOpenChannel(InvocationContext ctx, Kernel& kernel) {
+  const std::string* name = ctx.Arg(kFieldName).AsStr();
+  if (name == nullptr || !Contains(*name)) {
+    ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel name");
+    return;
+  }
+  Value reply;
+  reply.Set(std::string(kFieldChannel), Value(*MintCapability(*name, kernel)));
+  ctx.Reply(std::move(reply));
 }
 
 std::optional<std::string> ChannelTable::Resolve(const Value& wire_id) const {

@@ -28,6 +28,7 @@
 
 namespace eden {
 
+class InvocationContext;
 class Kernel;
 
 // Resolves wire channel identifiers to declared channel names.
@@ -49,6 +50,10 @@ class ChannelTable {
   std::optional<std::string> Resolve(const Value& wire_id) const;
 
   bool IsCapabilityOnly(std::string_view name) const;
+
+  // The OpenChannel handler both passive ends install: `{name}` -> a fresh
+  // capability `{chan}`, or NO_SUCH_CHANNEL for an undeclared name.
+  void ServeOpenChannel(InvocationContext ctx, Kernel& kernel);
 
   size_t minted_count() const { return capabilities_.size(); }
 

@@ -161,6 +161,9 @@ class PushSink : public Eject {
 
   bool done() const { return done_; }
   const ValueList& items() const { return items_; }
+  // kOk while streaming; kEndOfStream after a clean end; the failure an
+  // upstream Eject ended the stream with otherwise.
+  const Status& stream_status() const { return acceptor_.status(kChanIn); }
   // Control-band arrivals, kept apart from the data stream (they overtake
   // it, so merging them into `items` would scramble data-order checks).
   const ValueList& control_items() const { return control_items_; }

@@ -163,11 +163,16 @@ Task<void> FilterEject::Run() {
 }
 
 Task<void> FilterEject::Finish() {
-  if (server_ && reader_ && !reader_->status().ok_or_end()) {
-    // Upstream crashed mid-stream: propagate the failure instead of
-    // masquerading as a clean end. Only a passive output can: an active
-    // output's Push has no error end, so it ends its writers cleanly.
-    server_->AbortAll(reader_->status());
+  const Status& input = reader_ ? reader_->status() : acceptor_->status(kChanIn);
+  if (!input.ok_or_end()) {
+    // Upstream failed mid-stream: end every output with that failure
+    // instead of masquerading as a clean end.
+    if (server_) {
+      server_->AbortAll(input);
+    }
+    for (auto& [channel, writer] : writers_) {
+      co_await writer->End(input);
+    }
     co_return;
   }
   for (auto& [channel, value] : ApplyEnd(*transform_)) {

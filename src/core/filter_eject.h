@@ -65,9 +65,10 @@ struct FilterRecoveryOptions {
 // The one filter loop the three classes below share: a Transform between an
 // input end (a StreamReader, or a StreamAcceptor on channel "in") and an
 // output end (a StreamServer, or one StreamWriter per bound channel). The
-// ends change two decisions only: a passive input cannot stop an active
-// upstream, so once the Transform is Done() it drains and discards; and only
-// a passive output carries an upstream failure on (Push has no error end).
+// ends change one decision only: a passive input cannot stop an active
+// upstream, so once the Transform is Done() it drains and discards. A failed
+// input ends every output with its failure: a server aborts its channels,
+// a writer sends it on its end marker.
 class FilterEject : public Eject {
  public:
   // Active output: directs output channel `channel` at `sink` (wire channel

@@ -48,7 +48,13 @@ Task<void> PassiveBuffer::BandLoop(Band band) {
         acceptor_.buffered(kChanIn) + server_.buffered(kChanOut));
   }
   if (++loops_done_ == 2) {
-    server_.Close(std::string(kChanOut));
+    // A failed input stream fails the output too, instead of ending it.
+    const Status& status = acceptor_.status(kChanIn);
+    if (status.ok_or_end()) {
+      server_.Close(kChanOut);
+    } else {
+      server_.AbortAll(status);
+    }
   }
 }
 

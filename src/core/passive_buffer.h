@@ -44,8 +44,9 @@ class PassiveBuffer : public Eject {
   uint64_t items_through() const { return server_.items_delivered(); }
 
  private:
-  // Copies one band from the input buffer to the output buffer; closes the
-  // output once both band loops have drained a finished input. One loop per
+  // Copies one band from the input buffer to the output buffer; ends the
+  // output once both band loops have drained a finished input, with the
+  // input's failure if it failed. One loop per
   // band (STREAMS service procedures): the control loop never waits behind
   // a data item stuck in output-face flow control, so control latency stays
   // independent of data-band saturation through the pipe.

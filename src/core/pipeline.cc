@@ -99,117 +99,117 @@ void MaybeAddMonitor(Kernel& kernel, const verify::RecoveryKnobs& recovery,
   handle.monitor = monitor.uid();
 }
 
-// One plan stage with its wiring resolved to real UIDs: everything MakeStage
-// needs, kept by value in a filter's reactivation factory.
-struct StageBuild {
-  verify::StageSpec stage;  // ends, watermarks, laziness
-  // The plan's gated recovery knobs; a filter under recovery also gets its
-  // reactivation type here.
-  FilterRecoveryOptions recovery;
+// The pipeline-wide knobs every stage is made with: the plan's gated
+// recovery knobs, and the batch, lookahead and per-item cost of the options.
+struct StageKnobs {
+  FilterRecoveryOptions recovery;  // a filter under recovery adds its type
   int64_t batch = 1;
   size_t lookahead = 0;
   Tick processing_cost = 0;
-  TransformFactory transform;  // filters
-  Uid upstream;                // active input: the stage it pulls from
-  Value upstream_channel;
-  Uid downstream;              // active output: the stage it pushes to
-  Value downstream_channel;
 };
 
 // The Eject for one plan stage, its class read off the stage's stream ends
-// (§4's taxonomy). BuildPipeline creates every stage with this, and a
-// filter's reactivation factory rebuilds it with this; `input` feeds a
-// source.
-std::unique_ptr<Eject> MakeStage(Kernel& kernel, const StageBuild& build,
-                                 ValueList& input) {
-  const verify::StageSpec& stage = build.stage;
+// (§4's taxonomy). An active input pulls channel "out" of `upstream`;
+// `transform` makes a filter's Transform; `input` feeds a source.
+// BuildPipeline creates every stage with this, and a filter's reactivation
+// factory rebuilds it with this.
+std::unique_ptr<Eject> MakeStage(Kernel& kernel, const verify::StageSpec& stage,
+                                 const StageKnobs& knobs, const TransformFactory& transform,
+                                 Uid upstream, ValueList& input) {
   if (stage.is_source && stage.passive_output) {
     VectorSource::Options options;
     options.work_ahead = stage.hiwat;
     options.work_ahead_lowat = stage.lowat;
     options.start_on_demand = stage.lazy;
-    options.sequenced = build.recovery.enabled;
+    options.sequenced = knobs.recovery.enabled;
     return std::make_unique<VectorSource>(kernel, std::move(input), options);
   }
   if (stage.is_source) {
     PushSource::Options options;
-    options.batch = build.batch;
-    options.deadline = build.recovery.deadline;
-    options.retry_attempts = build.recovery.retry_attempts;
-    options.retry_backoff = build.recovery.retry_backoff;
-    options.sequenced = build.recovery.enabled;
+    options.batch = knobs.batch;
+    options.deadline = knobs.recovery.deadline;
+    options.retry_attempts = knobs.recovery.retry_attempts;
+    options.retry_backoff = knobs.recovery.retry_backoff;
+    options.sequenced = knobs.recovery.enabled;
     return std::make_unique<PushSource>(kernel, std::move(input), options);
   }
+  Value upstream_channel = stage.active_input ? Value(std::string(kChanOut)) : Value();
   if (stage.is_sink && stage.active_input) {
     PullSink::Options options;
-    options.batch = build.batch;
-    options.lookahead = build.lookahead;
-    options.deadline = build.recovery.deadline;
-    options.retry_attempts = build.recovery.retry_attempts;
-    options.retry_backoff = build.recovery.retry_backoff;
-    options.sequenced = build.recovery.enabled;
-    return std::make_unique<PullSink>(kernel, build.upstream, build.upstream_channel, options);
+    options.batch = knobs.batch;
+    options.lookahead = knobs.lookahead;
+    options.deadline = knobs.recovery.deadline;
+    options.retry_attempts = knobs.recovery.retry_attempts;
+    options.retry_backoff = knobs.recovery.retry_backoff;
+    options.sequenced = knobs.recovery.enabled;
+    return std::make_unique<PullSink>(kernel, upstream, std::move(upstream_channel), options);
   }
   if (stage.is_sink) {
     PushSink::Options options;
     options.hiwat = stage.hiwat;
     options.lowat = stage.lowat;
-    options.sequenced = build.recovery.enabled;
+    options.sequenced = knobs.recovery.enabled;
     return std::make_unique<PushSink>(kernel, options);
   }
   if (stage.passive_input && stage.passive_output) {
     PassiveBuffer::Options options;
     options.hiwat = stage.hiwat;
     options.lowat = stage.lowat;
-    options.sequenced = build.recovery.enabled;
+    options.sequenced = knobs.recovery.enabled;
     return std::make_unique<PassiveBuffer>(kernel, options);
   }
   if (stage.passive_output) {
     ReadOnlyFilter::Options options;
-    options.source = build.upstream;
-    options.source_channel = build.upstream_channel;
-    options.batch = build.batch;
-    options.lookahead = build.lookahead;
+    options.source = upstream;
+    options.source_channel = std::move(upstream_channel);
+    options.batch = knobs.batch;
+    options.lookahead = knobs.lookahead;
     options.work_ahead = stage.hiwat;
     options.work_ahead_lowat = stage.lowat;
     options.start_on_demand = stage.lazy;
-    options.processing_cost = build.processing_cost;
-    options.recovery = build.recovery;
-    return std::make_unique<ReadOnlyFilter>(kernel, build.transform(), options);
+    options.processing_cost = knobs.processing_cost;
+    options.recovery = knobs.recovery;
+    return std::make_unique<ReadOnlyFilter>(kernel, transform(), options);
   }
   if (stage.passive_input) {
     WriteOnlyFilter::Options options;
     options.input_hiwat = stage.hiwat;
     options.input_lowat = stage.lowat;
-    options.batch = build.batch;
-    options.processing_cost = build.processing_cost;
-    options.recovery = build.recovery;
-    return std::make_unique<WriteOnlyFilter>(kernel, build.transform(), options);
+    options.batch = knobs.batch;
+    options.processing_cost = knobs.processing_cost;
+    options.recovery = knobs.recovery;
+    return std::make_unique<WriteOnlyFilter>(kernel, transform(), options);
   }
   ConventionalFilter::Options options;
-  options.source = build.upstream;
-  options.source_channel = build.upstream_channel;
-  options.batch = build.batch;
-  options.lookahead = build.lookahead;
-  options.processing_cost = build.processing_cost;
-  options.recovery = build.recovery;
-  return std::make_unique<ConventionalFilter>(kernel, build.transform(), options);
+  options.source = upstream;
+  options.source_channel = std::move(upstream_channel);
+  options.batch = knobs.batch;
+  options.lookahead = knobs.lookahead;
+  options.processing_cost = knobs.processing_cost;
+  options.recovery = knobs.recovery;
+  return std::make_unique<ConventionalFilter>(kernel, transform(), options);
 }
 
-// Points an active output at its plan successor. The binding is part of the
-// type, not the checkpoint, so a reactivation factory binds too.
-void BindStage(Eject& eject, const StageBuild& build) {
-  if (build.downstream.IsNil()) {
-    return;
-  }
-  if (build.stage.is_source) {
-    static_cast<PushSource&>(eject).BindOutput(build.downstream,
-                                               build.downstream_channel);
+// Points an active output at channel "in" of its plan successor. The binding
+// is part of the type, not the checkpoint, so a reactivation factory binds
+// too.
+void BindStage(Eject& eject, const verify::StageSpec& stage, Uid downstream) {
+  if (stage.is_source) {
+    static_cast<PushSource&>(eject).BindOutput(downstream, Value(std::string(kChanIn)));
   } else {
-    static_cast<FilterEject&>(eject).BindOutput(
-        std::string(kChanOut), build.downstream, build.downstream_channel);
+    static_cast<FilterEject&>(eject).BindOutput(std::string(kChanOut), downstream,
+                                                Value(std::string(kChanIn)));
   }
 }
+
+// A filter under recovery, as its reactivation factory rebuilds it.
+struct StageBuild {
+  size_t position = 0;
+  verify::StageSpec stage;
+  StageKnobs knobs;
+  TransformFactory transform;
+  Uid upstream;
+};
 
 }  // namespace
 
@@ -227,56 +227,56 @@ PipelineHandle BuildPipeline(Kernel& kernel, ValueList input,
       return handle;
     }
   }
-  // Edges name the plan's placeholder UIDs; a stage's real UID sits at the
-  // same position in handle.ejects.
-  auto real = [&plan, &handle](const Uid& planned) {
-    return handle.ejects[static_cast<size_t>(plan.Find(planned) - plan.stages.data())];
-  };
-  FilterRecoveryOptions recovery;
-  recovery.enabled = plan.recovery.enabled;
-  recovery.checkpoint_every = plan.recovery.checkpoint_every;
-  recovery.deadline = plan.recovery.deadline;
-  recovery.retry_attempts = plan.recovery.retry_attempts;
-  recovery.retry_backoff = plan.recovery.retry_backoff;
-  std::vector<StageBuild> builds;
-  builds.reserve(plan.stages.size());
-  handle.stage_names.reserve(plan.stages.size());
+  // The plan is a chain: it connects stage i-1 to stage i (an active input
+  // pulls its predecessor's "out", an active output pushes its successor's
+  // "in"), so every stage is wired by position.
+  assert(plan.edges.size() + 1 == plan.stages.size());
+  StageKnobs knobs;
+  knobs.recovery.enabled = plan.recovery.enabled;
+  knobs.recovery.checkpoint_every = plan.recovery.checkpoint_every;
+  knobs.recovery.deadline = plan.recovery.deadline;
+  knobs.recovery.retry_attempts = plan.recovery.retry_attempts;
+  knobs.recovery.retry_backoff = plan.recovery.retry_backoff;
+  knobs.batch = options.batch;
+  knobs.lookahead = options.lookahead;
+  knobs.processing_cost = options.processing_cost;
+  const size_t count = plan.stages.size();
+  handle.ejects.reserve(count);
+  handle.stage_names.reserve(count);
   std::vector<Eject*> created;
+  created.reserve(count);
   std::vector<Uid> filter_uids;
-  for (const verify::StageSpec& stage : plan.stages) {
-    NodeId node = stage.node;
+  std::vector<StageBuild> recoverable;
+  static const TransformFactory kNoTransform;
+  for (size_t i = 0; i < count; ++i) {
+    const verify::StageSpec& stage = plan.stages[i];
     if (options.distinct_nodes) {
-      [[maybe_unused]] NodeId added = kernel.AddNode(
-          "pipe-node-" + std::to_string(handle.ejects.size()), stage.shard_hint);
-      assert(added == node && "the plan stamps the node ids minted here");
+      [[maybe_unused]] NodeId added =
+          kernel.AddNode("pipe-node-" + std::to_string(i), stage.shard_hint);
+      assert(added == stage.node && "the plan stamps the node ids minted here");
     }
-    StageBuild& build = builds.emplace_back();
-    build.stage = stage;
-    build.recovery = recovery;
-    build.batch = options.batch;
-    build.lookahead = options.lookahead;
-    build.processing_cost = options.processing_cost;
-    for (const verify::EdgeSpec& edge : plan.edges) {
-      if (edge.mode == verify::EdgeSpec::Mode::kPull && edge.to == stage.uid) {
-        build.upstream = real(edge.from);  // producers precede consumers
-        build.upstream_channel = Value(edge.channel);
-      }
-    }
+    const Uid upstream = stage.active_input ? handle.ejects.back() : Uid();
     const bool filter = !stage.is_source && !stage.is_sink &&
                         !(stage.passive_input && stage.passive_output);
-    if (filter) {
-      build.transform = stages[filter_uids.size()];
-      if (recovery.enabled) {
-        build.recovery.eject_type = UniqueTypeName(
-            kernel, stage.type + "/" + std::to_string(filter_uids.size()));
-      }
+    const TransformFactory& transform = filter ? stages[filter_uids.size()] : kNoTransform;
+    Eject* eject = nullptr;
+    if (filter && knobs.recovery.enabled) {
+      StageBuild& build = recoverable.emplace_back(StageBuild{i, stage, knobs, transform, upstream});
+      build.knobs.recovery.eject_type =
+          UniqueTypeName(kernel, stage.type + "/" + std::to_string(filter_uids.size()));
+      eject = &kernel.CreateWith(stage.node, [&](Kernel& k) {
+        return MakeStage(k, stage, build.knobs, transform, upstream, input);
+      });
+    } else {
+      eject = &kernel.CreateWith(stage.node, [&](Kernel& k) {
+        return MakeStage(k, stage, knobs, transform, upstream, input);
+      });
     }
-    Eject& eject = kernel.CreateWith(node, [&](Kernel& k) { return MakeStage(k, build, input); });
-    created.push_back(&eject);
-    handle.ejects.push_back(eject.uid());
+    created.push_back(eject);
+    handle.ejects.push_back(eject->uid());
     handle.stage_names.push_back(stage.name);
     if (filter) {
-      filter_uids.push_back(eject.uid());
+      filter_uids.push_back(eject->uid());
     } else if (stage.passive_input && stage.passive_output) {
       handle.passive_buffer_count++;
     }
@@ -291,23 +291,25 @@ PipelineHandle BuildPipeline(Kernel& kernel, ValueList input,
   }
   // Push bindings need both ends, so they wait until every stage exists.
   // Nothing has run yet: creation only scheduled each stage's start.
-  for (size_t i = 0; i < builds.size(); ++i) {
-    StageBuild& build = builds[i];
-    for (const verify::EdgeSpec& edge : plan.edges) {
-      if (edge.mode == verify::EdgeSpec::Mode::kPush && edge.from == build.stage.uid) {
-        build.downstream = real(edge.to);
-        build.downstream_channel = Value(edge.channel);
-      }
+  for (size_t i = 0; i + 1 < count; ++i) {
+    if (plan.stages[i].active_output) {
+      BindStage(*created[i], plan.stages[i], handle.ejects[i + 1]);
     }
-    BindStage(*created[i], build);
-    if (!build.recovery.eject_type.empty()) {
-      kernel.types().Register(build.recovery.eject_type, [build](Kernel& k) {
-        ValueList no_input;
-        std::unique_ptr<Eject> fresh = MakeStage(k, build, no_input);
-        BindStage(*fresh, build);
-        return fresh;
-      });
-    }
+  }
+  for (const StageBuild& build : recoverable) {
+    Uid downstream =
+        build.stage.active_output ? handle.ejects[build.position + 1] : Uid();
+    kernel.types().Register(build.knobs.recovery.eject_type,
+                            [build, downstream](Kernel& k) {
+                              ValueList no_input;
+                              std::unique_ptr<Eject> fresh =
+                                  MakeStage(k, build.stage, build.knobs, build.transform,
+                                            build.upstream, no_input);
+                              if (!downstream.IsNil()) {
+                                BindStage(*fresh, build.stage, downstream);
+                              }
+                              return fresh;
+                            });
   }
   MaybeAddMonitor(kernel, plan.recovery, handle, std::move(filter_uids));
   return handle;

@@ -58,18 +58,15 @@ const char* TypeOf(const verify::StageSpec& stage) {
 }
 
 // The one description of every discipline's shape: stages, names, ends,
-// watermarks and edges. `uid_of(i)` supplies the stage UID for position i in
-// source..sink order, so the plan (synthetic UIDs) and the as-built
-// description (handle.ejects) produce structurally identical specs.
+// watermarks and edges, with the synthetic UID Uid(0, i+1) at position i in
+// source..sink order.
 //
 // A discipline is one choice per side: every stage but the source has the
 // discipline's input end, every stage but the sink its output end (read-only:
 // active input, passive output; write-only: the reverse; conventional: active
 // both), and the conventional discipline puts a PassiveBuffer, passive both
 // ways, at every junction (§3-§5).
-template <typename UidOf>
-verify::TopologySpec BuildSpec(size_t stage_count,
-                               const PipelineOptions& options, UidOf uid_of) {
+verify::TopologySpec BuildSpec(size_t stage_count, const PipelineOptions& options) {
   const bool read_only = options.discipline == Discipline::kReadOnly;
   const bool write_only = options.discipline == Discipline::kWriteOnly;
   const bool pipes = options.discipline == Discipline::kConventional;
@@ -86,7 +83,7 @@ verify::TopologySpec BuildSpec(size_t stage_count,
   };
   for (size_t i = 0; i < count; ++i) {
     verify::StageSpec stage;
-    stage.uid = uid_of(i);
+    stage.uid = Uid(0, i + 1);
     stage.is_source = i == 0;
     stage.is_sink = i + 1 == count;
     if (pipes && i % 2 == 1) {
@@ -129,8 +126,7 @@ verify::TopologySpec BuildSpec(size_t stage_count,
 
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options) {
-  return BuildSpec(stage_count, options,
-                   [](size_t i) { return Uid(0, i + 1); });
+  return BuildSpec(stage_count, options);
 }
 
 verify::TopologySpec PlanTopology(size_t stage_count,
@@ -152,26 +148,6 @@ verify::TopologySpec PlanTopology(size_t stage_count,
     }
   }
   return spec;
-}
-
-verify::TopologySpec DescribePipeline(const PipelineHandle& handle,
-                                      const PipelineOptions& options) {
-  size_t stage_count = 0;
-  switch (handle.discipline) {
-    case Discipline::kReadOnly:
-    case Discipline::kWriteOnly:
-      stage_count = handle.ejects.size() >= 2 ? handle.ejects.size() - 2 : 0;
-      break;
-    case Discipline::kConventional:
-      stage_count =
-          handle.ejects.size() >= 3 ? (handle.ejects.size() - 3) / 2 : 0;
-      break;
-  }
-  PipelineOptions adjusted = options;
-  adjusted.discipline = handle.discipline;
-  return BuildSpec(stage_count, adjusted, [&handle](size_t i) {
-    return i < handle.ejects.size() ? handle.ejects[i] : Uid();
-  });
 }
 
 verify::LintReport LintPipelinePlan(size_t stage_count,

@@ -1,8 +1,8 @@
 // Bridge between the pipeline builder and the static verification layer:
-// renders a (stages, options) plan — or a finished PipelineHandle — as the
-// TopologySpec the PipelineLinter analyses. The plan is also what
-// BuildPipeline builds: it creates one Eject per plan stage, in plan order,
-// its class, watermarks, laziness, name and wiring all read off the plan.
+// renders a (stages, options) plan as the TopologySpec the PipelineLinter
+// analyses. The plan is also what BuildPipeline builds: it creates one Eject
+// per plan stage, in plan order, its class, watermarks, laziness, name and
+// wiring all read off the plan.
 // This file is the one place the PipelineOptions watermark and laziness
 // knobs are read. Lives in core so the verify library stays free of runtime
 // pipeline types.
@@ -35,10 +35,6 @@ verify::TopologySpec PlanTopology(size_t stage_count,
 verify::TopologySpec PlanTopology(size_t stage_count,
                                   const PipelineOptions& options,
                                   const Kernel& kernel);
-
-// The as-built topology of a finished pipeline: real UIDs, same shape.
-verify::TopologySpec DescribePipeline(const PipelineHandle& handle,
-                                      const PipelineOptions& options);
 
 // Lints the plan without constructing anything (the structural rules only:
 // ASC010-ASC012 need the kernel-aware plan).

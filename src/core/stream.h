@@ -12,9 +12,11 @@
 //     is *withheld* (parked) — the "partial vacuum" of §4. `end:true`
 //     accompanies (or follows) the final items.
 //
-//   Push      {chan, items:[...], end:bool}  ->  {}
+//   Push      {chan, items:[...], end:bool, error?:int}  ->  {}
 //     Active output / passive input. The reply is the flow-control signal:
-//     it is withheld while the receiving buffer is above capacity.
+//     it is withheld while the receiving buffer is above capacity. A stream
+//     whose producer's own input failed ends with `error` (the StatusCode)
+//     beside end:true; a clean end omits it.
 //
 //   OpenChannel {name:str}               ->  {chan:uid}
 //     Mints an unforgeable capability for a named output channel (§5's
@@ -53,6 +55,7 @@
 #include <string>
 #include <string_view>
 
+#include "src/eden/status.h"
 #include "src/eden/value.h"
 
 namespace eden {
@@ -74,6 +77,8 @@ inline constexpr std::string_view kFieldAck = "ack";
 inline constexpr std::string_view kFieldNext = "next";
 // Priority band of a Push (absent = kBandData).
 inline constexpr std::string_view kFieldBand = "band";
+// Failed end of a Push: the StatusCode, sent only with end:true.
+inline constexpr std::string_view kFieldError = "error";
 
 // Priority bands. Two are enough for the paper's needs: everything is data
 // except the control messages (end, checkpoint, reactivate) that must not
@@ -157,6 +162,29 @@ inline Value MakePushArgs(Value channel, ValueList items, bool end,
     args.Set(std::string(kFieldBand), Value(static_cast<int64_t>(BandIndex(band))));
   }
   return args;
+}
+
+// Failed end: marks a final Push (end:true) with the failure its stream
+// ended with. A clean end leaves the args as they are.
+inline void SetPushError(Value& args, const Status& failure) {
+  if (!failure.ok_or_end()) {
+    args.Set(std::string(kFieldError),
+             Value(static_cast<int64_t>(failure.code())));
+  }
+}
+
+// The status a Push's end marker carries: kEndOfStream, or the failure its
+// error field names (a code that names no failure reads as kInternal).
+inline Status PushEndStatus(const Value& args) {
+  if (!args.HasField(kFieldError)) {
+    return Status(StatusCode::kEndOfStream);
+  }
+  int64_t code = args.Field(kFieldError).IntOr(0);
+  if (code <= static_cast<int64_t>(StatusCode::kEndOfStream) ||
+      code > static_cast<int64_t>(StatusCode::kInternal)) {
+    return Status(StatusCode::kInternal, "malformed error end");
+  }
+  return Status(static_cast<StatusCode>(code), "upstream failed");
 }
 
 inline Value MakeBatchReply(ValueList items, bool end) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <type_traits>
 #include <utility>
 
 #include "src/eden/metrics.h"
@@ -13,18 +14,7 @@ void StreamAcceptor::DeclareChannel(std::string name, ChannelOptions options) {
   bool fresh = table_.Declare(name, options.capability_only);
   assert(fresh && "input channel declared twice");
   (void)fresh;
-  InChannel channel;
-  channel.name = name;
-  channel.limits = FlowLimits::Resolve(
-      options.hiwat, options.lowat);
-  channel.sequenced = options.sequenced;
-  channel.available = std::make_unique<CondVar>(owner_);
-  CondVar* available = channel.available.get();
-  // The service procedure wakes the (possibly blocked) consumer once per
-  // burst of pushes instead of once per push.
-  channel.service = std::make_unique<ServiceProc>(
-      owner_.kernel(), [available] { available->NotifyAll(); });
-  channels_.emplace(std::move(name), std::move(channel));
+  channels_.try_emplace(std::move(name), owner_, options);
 }
 
 void StreamAcceptor::InstallOps() {
@@ -32,7 +22,7 @@ void StreamAcceptor::InstallOps() {
                     [this](InvocationContext ctx) { HandlePush(std::move(ctx)); });
   if (!owner_.Responds(std::string(kOpOpenChannel))) {
     owner_.RegisterOp(std::string(kOpOpenChannel), [this](InvocationContext ctx) {
-      HandleOpenChannel(std::move(ctx));
+      table_.ServeOpenChannel(std::move(ctx), owner_.kernel());
     });
   }
 }
@@ -47,7 +37,7 @@ const StreamAcceptor::InChannel* StreamAcceptor::Find(std::string_view name) con
 }
 
 Value StreamAcceptor::PushReply(const InChannel& channel) const {
-  if (!channel.sequenced) {
+  if (!channel.sequenced()) {
     return Value();
   }
   Value reply;
@@ -55,11 +45,6 @@ Value StreamAcceptor::PushReply(const InChannel& channel) const {
             Value(channel.explicit_durable ? channel.durable : channel.consumed));
   reply.Set(std::string(kFieldNext), Value(channel.next_seq));
   return reply;
-}
-
-void StreamAcceptor::RecordDepth(const InChannel& channel) const {
-  owner_.kernel().ObserveQueueDepth(StreamComponent::kAcceptor,
-                                    owner_.uid(), Depth(channel));
 }
 
 void StreamAcceptor::HandlePush(InvocationContext ctx) {
@@ -73,13 +58,11 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
   pushes_received_++;
   const ValueList* items = ctx.Arg(kFieldItems).AsList();
   size_t count = items == nullptr ? 0 : items->size();
-  // Sequenced channels are single-band: positions define a total order that
-  // band overtaking would violate, so the band field is ignored there.
-  Band band = !ch->sequenced && ctx.Arg(kFieldBand).IntOr(0) != 0
-                  ? Band::kControl
-                  : Band::kData;
+  // A sequenced channel ignores the band field: it is single-band.
+  Band band = ch->BandOf(ctx.Arg(kFieldBand).IntOr(0) != 0 ? Band::kControl
+                                                           : Band::kData);
   size_t skip = 0;
-  if (ch->sequenced) {
+  if (ch->sequenced()) {
     int64_t seq = ctx.Arg(kFieldSeq).IntOr(-1);
     if (seq >= 0) {
       uint64_t s = static_cast<uint64_t>(seq);
@@ -97,9 +80,8 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
       }
     }
   }
-  std::deque<Value>& queue = band == Band::kControl ? ch->control : ch->buffer;
   for (size_t i = skip; i < count; ++i) {
-    queue.push_back((*items)[i]);
+    ch->Push((*items)[i], band);
     ch->next_seq++;
     items_received_++;
   }
@@ -108,48 +90,38 @@ void StreamAcceptor::HandlePush(InvocationContext ctx) {
       mon->OnAccepted(owner_.uid(), owner_.kernel().now(), count - skip,
                       BandIndex(band));
     }
-    if (ch->sequenced) {
+    if (ch->sequenced()) {
       mon->OnSequence(owner_.uid(), owner_.kernel().now(), "acceptor.next",
                       ch->next_seq);
     }
   }
-  RecordDepth(*ch);
   if (ctx.Arg(kFieldEnd).BoolOr(false)) {
-    ch->ended = true;
+    ch->End(PushEndStatus(ctx.args()));
   }
+  ch->ReportDepth();
   // Deferred service: wake a blocked consumer once, at the next event, so a
   // burst of pushes coalesces into one wakeup.
-  if (ch->available->waiter_count() > 0) {
-    ch->service->Schedule();
-  }
-  if (ch->ended) {
+  ch->Wake();
+  if (ch->ended()) {
     // Nothing more is coming; flow control is moot. Free any producer still
     // parked on an old push before answering this one.
     ReleaseWithheld(*ch);
-  } else if (band == Band::kData &&
-             (!ch->withheld.empty() || Depth(*ch) >= ch->limits.hiwat)) {
+  } else if (band == Band::kData) {
     // Flow control: the buffer reached hiwat (or earlier producers are
     // already parked — joining behind them keeps releases FIFO). Withhold
     // the reply until the owner drains below lowat. Control pushes are
-    // exempt: they must overtake data, not park behind it.
-    owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
-                                     FlowEvent::kHiwatHit);
-    ch->withheld.push_back(ctx.TakeReply());
-    return;
+    // exempt: they must overtake data, not park behind it. Every withheld
+    // reply counts as a hiwat hit; the latch reports only the first.
+    bool queued = !ch->withheld.empty();
+    if (ch->Throttle()) {
+      if (queued) {
+        ch->Report(FlowEvent::kHiwatHit);
+      }
+      ch->withheld.push_back(ctx.TakeReply());
+      return;
+    }
   }
   ctx.Reply(PushReply(*ch));
-}
-
-void StreamAcceptor::HandleOpenChannel(InvocationContext ctx) {
-  const std::string* name = ctx.Arg(kFieldName).AsStr();
-  if (name == nullptr || !table_.Contains(*name)) {
-    ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel name");
-    return;
-  }
-  std::optional<Uid> capability = table_.MintCapability(*name, owner_.kernel());
-  Value reply;
-  reply.Set(std::string(kFieldChannel), Value(*capability));
-  ctx.Reply(std::move(reply));
 }
 
 void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
@@ -158,138 +130,77 @@ void StreamAcceptor::ReleaseWithheld(InChannel& channel) {
   // cycle, not per item). End of stream voids flow control entirely: the
   // queue can only shrink, so every producer is released immediately —
   // including when `ended` arrives while a final drain is still in flight.
-  while (!channel.withheld.empty() &&
-         (channel.ended || Depth(channel) < channel.limits.lowat)) {
+  if (!channel.ended() && !channel.Drained()) {
+    return;
+  }
+  while (!channel.withheld.empty()) {
     ReplyHandle reply = std::move(channel.withheld.front());
     channel.withheld.pop_front();
     reply.Reply(PushReply(channel));
   }
 }
 
-Task<std::optional<StreamAcceptor::Taken>> StreamAcceptor::Take(
-    std::string_view channel) {
+template <typename Result>
+Task<std::optional<Result>> StreamAcceptor::TakeNext(std::string_view channel,
+                                                     std::optional<Band> only) {
   InChannel* ch = Find(channel);
   assert(ch != nullptr && "read from undeclared input channel");
-  while (ch->buffer.empty() && ch->control.empty() && !ch->ended) {
-    co_await ch->available->Wait();
+  // A sequenced channel's control band is always empty, so a control-band
+  // loop there simply idles until end of stream.
+  auto empty = [ch, only] { return only ? ch->Empty(*only) : ch->Depth() == 0; };
+  while (empty() && !ch->ended()) {
+    co_await ch->Wait();
   }
-  if (ch->buffer.empty() && ch->control.empty()) {
+  if (empty()) {
     ReleaseWithheld(*ch);
     co_return std::nullopt;
   }
   owner_.kernel().CountLocalStep();
-  Taken taken;
-  if (!ch->control.empty()) {
-    // Control overtakes: served ahead of any queued data.
-    taken.band = Band::kControl;
-    taken.item = std::move(ch->control.front());
-    ch->control.pop_front();
-    if (!ch->buffer.empty()) {
-      owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
-                                       FlowEvent::kBandOvertake);
-    }
-  } else {
-    taken.band = Band::kData;
-    taken.item = std::move(ch->buffer.front());
-    ch->buffer.pop_front();
-  }
+  Taken taken = only ? ch->Pop(*only) : ch->Pop();
   ch->consumed++;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1,
                     BandIndex(taken.band));
   }
-  RecordDepth(*ch);
+  ch->ReportDepth();
   ReleaseWithheld(*ch);
-  co_return std::optional<Taken>(std::move(taken));
+  if constexpr (std::is_same_v<Result, Taken>) {
+    co_return std::move(taken);
+  } else {
+    co_return std::move(taken.item);
+  }
 }
 
-Task<std::optional<Value>> StreamAcceptor::NextOnBand(std::string_view channel,
-                                                      Band band) {
-  InChannel* ch = Find(channel);
-  assert(ch != nullptr && "read from undeclared input channel");
-  // Sequenced channels are single-band: their control queue is always
-  // empty, so a control-band loop simply idles until end of stream.
-  std::deque<Value>& queue = band == Band::kControl ? ch->control : ch->buffer;
-  while (queue.empty() && !ch->ended) {
-    co_await ch->available->Wait();
-  }
-  if (queue.empty()) {
-    ReleaseWithheld(*ch);
-    co_return std::nullopt;
-  }
-  owner_.kernel().CountLocalStep();
-  if (band == Band::kControl && !ch->buffer.empty()) {
-    owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
-                                     FlowEvent::kBandOvertake);
-  }
-  Value item = std::move(queue.front());
-  queue.pop_front();
-  ch->consumed++;
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnConsumed(owner_.uid(), owner_.kernel().now(), 1, BandIndex(band));
-  }
-  RecordDepth(*ch);
-  ReleaseWithheld(*ch);
-  co_return std::optional<Value>(std::move(item));
-}
-
-Task<std::optional<Value>> StreamAcceptor::Next(std::string_view channel) {
-  std::optional<Taken> taken = co_await Take(channel);
-  if (!taken) {
-    co_return std::nullopt;
-  }
-  co_return std::optional<Value>(std::move(taken->item));
-}
+template Task<std::optional<Value>> StreamAcceptor::TakeNext<Value>(
+    std::string_view, std::optional<Band>);
+template Task<std::optional<StreamAcceptor::Taken>>
+StreamAcceptor::TakeNext<StreamAcceptor::Taken>(std::string_view,
+                                                std::optional<Band>);
 
 bool StreamAcceptor::CanPut(std::string_view channel, Band band) const {
   const InChannel* ch = Find(channel);
-  if (ch == nullptr) {
-    return false;
-  }
-  if (band == Band::kControl && !ch->sequenced) {
-    return true;  // control is never subject to flow control
-  }
-  return ch->withheld.empty() && Depth(*ch) < ch->limits.hiwat;
+  // Control is never subject to flow control.
+  return ch != nullptr && (ch->BandOf(band) == Band::kControl || ch->Admits());
 }
 
 void StreamAcceptor::PutBack(std::string_view channel, Value item, Band band) {
   InChannel* ch = Find(channel);
   assert(ch != nullptr && "put-back to undeclared input channel");
   assert(ch->consumed > 0 && "put-back without a matching take");
-  if (ch->sequenced) {
-    band = Band::kData;  // sequenced channels are single-band
-  }
-  std::deque<Value>& queue = band == Band::kControl ? ch->control : ch->buffer;
-  queue.push_front(std::move(item));
+  band = ch->BandOf(band);
   // The position is back in the queue: un-consume it so sequenced acks (and
   // the saved consumed mark) stay truthful.
   ch->consumed--;
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnPutBack(owner_.uid(), owner_.kernel().now(), 1, BandIndex(band));
   }
-  owner_.kernel().ObserveFlowEvent(StreamComponent::kAcceptor, owner_.uid(),
-                                   FlowEvent::kPutBack);
-  RecordDepth(*ch);
+  ch->PutBack(std::move(item), band);
 }
 
-bool StreamAcceptor::ended(std::string_view channel) const {
+const Status& StreamAcceptor::status(std::string_view channel) const {
+  static const Status kNoChannel(StatusCode::kNoSuchChannel);
   const InChannel* ch = Find(channel);
-  return ch == nullptr || (ch->ended && Depth(*ch) == 0);
-}
-
-size_t StreamAcceptor::buffered(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : Depth(*ch);
-}
-
-FlowLimits StreamAcceptor::limits(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
-  return ch == nullptr ? FlowLimits{} : ch->limits;
-}
-
-uint64_t StreamAcceptor::accepted(std::string_view channel) const {
-  const InChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->next_seq;
+  return ch == nullptr ? kNoChannel : ch->status();
 }
 
 void StreamAcceptor::SetDurable(std::string_view channel, uint64_t pos) {
@@ -303,13 +214,10 @@ Value StreamAcceptor::SaveChannels() const {
   ValueMap state;
   for (const auto& [name, ch] : channels_) {
     Value v;
-    v.Set("ended", Value(ch.ended));
+    v.Set("ended", Value(ch.ended()));
     v.Set("next", Value(ch.next_seq));
     v.Set("consumed", Value(ch.consumed));
-    v.Set("buffer", Value(ValueList(ch.buffer.begin(), ch.buffer.end())));
-    if (!ch.control.empty()) {
-      v.Set("control", Value(ValueList(ch.control.begin(), ch.control.end())));
-    }
+    ch.Save(v);
     state.emplace(name, std::move(v));
   }
   return Value(std::move(state));
@@ -325,18 +233,10 @@ void StreamAcceptor::RestoreChannels(const Value& state) {
     if (ch == nullptr) {
       continue;  // channel set is part of the type, not the checkpoint
     }
-    ch->ended = v.Field("ended").BoolOr(false);
+    ch->Restore(v, v.Field("ended").BoolOr(false));
     ch->next_seq = static_cast<uint64_t>(v.Field("next").IntOr(0));
     ch->consumed = static_cast<uint64_t>(v.Field("consumed").IntOr(0));
-    ch->buffer.clear();
-    ch->control.clear();
-    if (const ValueList* buffer = v.Field("buffer").AsList()) {
-      ch->buffer.assign(buffer->begin(), buffer->end());
-    }
-    if (const ValueList* control = v.Field("control").AsList()) {
-      ch->control.assign(control->begin(), control->end());
-    }
-    if (ch->sequenced) {
+    if (ch->sequenced()) {
       // Everything the checkpoint accepted is, by definition, durable now.
       ch->durable = ch->next_seq;
       ch->explicit_durable = true;

@@ -5,33 +5,26 @@
 //  incoming Write invocations and use the data thus obtained to fill the
 //  same buffer."                                                 (paper §5)
 //
-// The acceptor is that buffer plus the responder. Flow control is
-// watermark-based (STREAMS mi_hiwat/mi_lowat in miniature): a Push whose
-// items bring the buffer to `hiwat` or above has its reply withheld, which
-// blocks the (awaiting) producer; withheld replies are released only once
-// the owner has drained the buffer below `lowat`, so a saturated producer is
-// woken once per drain cycle instead of once per item. Once the stream has
-// ended the buffer can only shrink, so withheld replies are released
-// immediately rather than kept hostage to a watermark the producer no longer
-// cares about.
-//
-// Two priority bands (see PROTOCOL.md): data pushes are subject to flow
-// control; control pushes are never withheld, and Take() serves queued
-// control items ahead of queued data. Sequenced channels are single-band.
+// The acceptor is that buffer (a PassiveQueue, shared with StreamServer)
+// plus the responder. The Push reply is the flow-control signal: a Push whose
+// items bring the buffer to `hiwat` has its reply withheld, blocking the
+// awaiting producer, until the owner drains the buffer below `lowat`; an
+// ended stream releases every withheld reply at once. Control pushes (see
+// PROTOCOL.md) are never withheld and are taken ahead of queued data. A Push
+// whose end marker names a failure ends the stream with that status.
 #ifndef SRC_CORE_STREAM_ACCEPTOR_H_
 #define SRC_CORE_STREAM_ACCEPTOR_H_
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
 
 #include "src/core/channel.h"
+#include "src/core/passive_queue.h"
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
-#include "src/eden/sync.h"
 
 namespace eden {
 
@@ -53,10 +46,7 @@ class StreamAcceptor {
   using ChannelOptions = StreamAcceptorChannelOptions;
 
   // One item taken from a channel, with the band it travelled on.
-  struct Taken {
-    Value item;
-    Band band = Band::kData;
-  };
+  using Taken = PassiveQueue::Taken;
 
   explicit StreamAcceptor(Eject& owner) : owner_(owner) {}
   StreamAcceptor(const StreamAcceptor&) = delete;
@@ -71,14 +61,20 @@ class StreamAcceptor {
   // ---- Consumer side (owner's coroutines).
   // Next item on `channel`, or nullopt once the stream has ended and the
   // buffer is drained. Control-band items overtake queued data.
-  Task<std::optional<Value>> Next(std::string_view channel);
+  Task<std::optional<Value>> Next(std::string_view channel) {
+    return TakeNext<Value>(channel, std::nullopt);
+  }
   // As Next, but reports which band the item arrived on.
-  Task<std::optional<Taken>> Take(std::string_view channel);
+  Task<std::optional<Taken>> Take(std::string_view channel) {
+    return TakeNext<Taken>(channel, std::nullopt);
+  }
   // Next item on one band only, ignoring the other (for consumers that run
   // one service loop per band, like PassiveBuffer — the control loop then
   // never waits behind a data item stuck in flow control). Returns nullopt
   // once the stream has ended and *this band* is drained.
-  Task<std::optional<Value>> NextOnBand(std::string_view channel, Band band);
+  Task<std::optional<Value>> NextOnBand(std::string_view channel, Band band) {
+    return TakeNext<Value>(channel, band);
+  }
 
   // Admission check (STREAMS canput): would a Push on `band` be admitted
   // without its reply being withheld? Control pushes always are.
@@ -88,16 +84,32 @@ class StreamAcceptor {
   // The monitor is told, so flow conservation still balances.
   void PutBack(std::string_view channel, Value item, Band band = Band::kData);
 
-  bool ended(std::string_view channel) const;
-  size_t buffered(std::string_view channel) const;
-  FlowLimits limits(std::string_view channel) const;
+  // True once the stream has ended and the buffer is drained.
+  bool ended(std::string_view channel) const {
+    const InChannel* ch = Find(channel);
+    return ch == nullptr || (ch->ended() && ch->Depth() == 0);
+  }
+  // kOk while the stream is open, kEndOfStream after a clean end, or the
+  // failure its sender's upstream ended with.
+  const Status& status(std::string_view channel) const;
+  size_t buffered(std::string_view channel) const {
+    const InChannel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->Depth();
+  }
+  FlowLimits limits(std::string_view channel) const {
+    const InChannel* ch = Find(channel);
+    return ch == nullptr ? FlowLimits{} : ch->limits();
+  }
   uint64_t items_received() const { return items_received_; }
   uint64_t pushes_received() const { return pushes_received_; }
   ChannelTable& table() { return table_; }
 
   // ---- Recovery support (sequenced channels).
   // Position of the first item not yet accepted into the buffer.
-  uint64_t accepted(std::string_view channel) const;
+  uint64_t accepted(std::string_view channel) const {
+    const InChannel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->next_seq;
+  }
   // Marks positions below `pos` as durable: Push replies advertise them as
   // `ack`, licensing the sender to forget them. Call after checkpointing.
   // Until the first call, replies acknowledge whatever the owner consumed.
@@ -109,35 +121,30 @@ class StreamAcceptor {
   void RestoreChannels(const Value& state);
 
  private:
-  struct InChannel {
-    std::string name;
-    FlowLimits limits;
-    bool sequenced = false;
-    bool ended = false;
-    std::deque<Value> buffer;   // data band (band 0)
-    std::deque<Value> control;  // control band (band 1): served first
+  // A channel: the shared queue plus what only an acceptor has, the
+  // withheld Push replies and the positions sequenced channels report.
+  struct InChannel : PassiveQueue {
+    InChannel(Eject& owner, const ChannelOptions& options)
+        : PassiveQueue(owner, StreamComponent::kAcceptor,
+                       FlowLimits::Resolve(options.hiwat, options.lowat),
+                       options.sequenced) {}
     std::deque<ReplyHandle> withheld;  // flow-control: unanswered Push replies
     uint64_t next_seq = 0;   // position of the first item not yet accepted
-    uint64_t consumed = 0;   // positions the owner has taken via Next()
+    uint64_t consumed = 0;   // positions the owner has taken
     uint64_t durable = 0;
     bool explicit_durable = false;
-    std::unique_ptr<CondVar> available;
-    // Deferred service (STREAMS srv): coalesces consumer wakeups so a burst
-    // of pushes wakes a blocked consumer once, at drain time.
-    std::unique_ptr<ServiceProc> service;
   };
 
+  // The one take: from either band (control first) or from `only`. Result
+  // is Taken or just the item's Value.
+  template <typename Result>
+  Task<std::optional<Result>> TakeNext(std::string_view channel,
+                                       std::optional<Band> only);
   void HandlePush(InvocationContext ctx);
-  void HandleOpenChannel(InvocationContext ctx);
   void ReleaseWithheld(InChannel& channel);
-  // Total queued depth across both bands.
-  static size_t Depth(const InChannel& channel) {
-    return channel.buffer.size() + channel.control.size();
-  }
   // The flow-control reply payload: empty for classic channels; {ack, next}
   // for sequenced ones.
   Value PushReply(const InChannel& channel) const;
-  void RecordDepth(const InChannel& channel) const;
 
   InChannel* Find(std::string_view name);
   const InChannel* Find(std::string_view name) const;

@@ -4,20 +4,11 @@
 #include <cassert>
 #include <utility>
 
+#include "src/core/retry.h"
 #include "src/eden/metrics.h"
 #include "src/eden/monitor.h"
 
 namespace eden {
-
-namespace {
-// Failures worth re-invoking the source over: the target was briefly gone
-// (crash before reactivation) or the network swallowed a message. Anything
-// else — bad channel, permission, data loss — is permanent.
-bool Retryable(const Status& status) {
-  return status.is(StatusCode::kUnavailable) ||
-         status.is(StatusCode::kDeadlineExceeded);
-}
-}  // namespace
 
 void StreamReader::ResumeAt(uint64_t seq) {
   buffer_.clear();
@@ -82,32 +73,21 @@ void StreamReader::Ingest(InvokeResult result) {
 
 Task<void> StreamReader::FetchOnce() {
   fetch_in_flight_ = true;
-  int attempt = 0;
-  for (;;) {
-    Value args = options_.sequenced
-                     ? MakeTransferArgs(channel_, options_.batch, next_seq_, ack())
-                     : MakeTransferArgs(channel_, options_.batch);
-    InvokeResult result =
-        co_await owner_.Invoke(source_, std::string(kOpTransfer), std::move(args),
-                               options_.deadline);
-    if (!result.ok() && Retryable(result.status) &&
-        attempt < options_.retry_attempts) {
-      attempt++;
-      owner_.kernel().stats().retries++;
-      if (options_.retry_backoff > 0) {
-        co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
-      }
-      continue;
-    }
-    if (attempt > 0 && result.status.ok_or_end()) {
-      owner_.kernel().stats().recoveries++;
-    }
-    fetch_in_flight_ = false;
-    Ingest(std::move(result));
-    if (fetch_done_.waiter_count() > 0) {
-      fetch_done_.NotifyAll();
-    }
-    co_return;
+  auto make_args = [this] {
+    return options_.sequenced ? MakeTransferArgs(channel_, options_.batch, next_seq_, ack())
+                              : MakeTransferArgs(channel_, options_.batch);
+  };
+  InvokeResult result = co_await owner_.Invoke(source_, std::string(kOpTransfer), make_args(),
+                                               options_.deadline);
+  if (!result.ok()) {
+    int attempt = 0;
+    result = co_await Retry(owner_, source_, kOpTransfer, make_args, PolicyOf(options_),
+                            attempt, &Status::ok_or_end, std::move(result));
+  }
+  fetch_in_flight_ = false;
+  Ingest(std::move(result));
+  if (fetch_done_.waiter_count() > 0) {
+    fetch_done_.NotifyAll();
   }
 }
 
@@ -164,43 +144,6 @@ Task<std::optional<Value>> StreamReader::Next() {
     room_.Notify();
   }
   co_return std::optional<Value>(std::move(item));
-}
-
-Task<ValueList> StreamReader::NextBatch() {
-  if (options_.lookahead > 0) {
-    if (!loop_started_) {
-      loop_started_ = true;
-      owner_.Spawn(FetchLoop());
-    }
-    while (buffer_.empty() && !ended_) {
-      co_await available_.Wait();
-    }
-  } else if (buffer_.empty() && !ended_) {
-    while (fetch_in_flight_) {
-      co_await fetch_done_.Wait();
-    }
-    if (buffer_.empty() && !ended_) {
-      co_await FetchOnce();
-    }
-  }
-  ValueList items;
-  items.reserve(buffer_.size());
-  while (!buffer_.empty()) {
-    items.push_back(std::move(buffer_.front()));
-    buffer_.pop_front();
-  }
-  items_read_ += items.size();
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    if (!items.empty()) {
-      mon->OnConsumed(owner_.uid(), owner_.kernel().now(), items.size());
-    }
-  }
-  owner_.kernel().ObserveQueueDepth(StreamComponent::kReader,
-                                    owner_.uid(), buffer_.size());
-  if (options_.lookahead > 0) {
-    room_.NotifyAll();
-  }
-  co_return items;
 }
 
 }  // namespace eden

@@ -13,25 +13,19 @@ void StreamServer::DeclareChannel(std::string name, ChannelOptions options) {
   bool fresh = table_.Declare(name, options.capability_only);
   assert(fresh && "channel declared twice");
   (void)fresh;
-  OutChannel channel;
-  channel.name = name;
-  channel.limits = FlowLimits::Resolve(
-      options.hiwat, options.lowat);
-  channel.sequenced = options.sequenced;
-  channel.space = std::make_unique<CondVar>(owner_);
-  CondVar* space = channel.space.get();
-  // The service procedure wakes blocked producers once per drain cycle
-  // instead of once per served batch.
-  channel.service = std::make_unique<ServiceProc>(
-      owner_.kernel(), [space] { space->NotifyAll(); });
-  channels_.emplace(std::move(name), std::move(channel));
+  channels_.try_emplace(std::move(name), owner_, options);
 }
 
 void StreamServer::InstallOps() {
   owner_.RegisterOp(std::string(kOpTransfer),
                     [this](InvocationContext ctx) { HandleTransfer(std::move(ctx)); });
-  owner_.RegisterOp(std::string(kOpOpenChannel),
-                    [this](InvocationContext ctx) { HandleOpenChannel(std::move(ctx)); });
+  owner_.RegisterOp(std::string(kOpOpenChannel), [this](InvocationContext ctx) {
+    if (channels_locked_) {
+      ctx.ReplyError(StatusCode::kPermissionDenied, "channel table is locked");
+      return;
+    }
+    table_.ServeOpenChannel(std::move(ctx), owner_.kernel());
+  });
 }
 
 StreamServer::OutChannel* StreamServer::Find(std::string_view name) {
@@ -43,48 +37,22 @@ const StreamServer::OutChannel* StreamServer::Find(std::string_view name) const 
   return it == channels_.end() ? nullptr : &it->second;
 }
 
-bool StreamServer::WriteBlocked(OutChannel& channel) {
-  // hiwat 0 is pure §4 laziness: the producer proceeds only on parked
-  // demand (checked by the caller) or once the channel closes.
-  if (channel.limits.hiwat == 0) {
-    return true;
-  }
-  size_t depth = Depth(channel);
-  if (depth >= channel.limits.hiwat) {
-    if (!channel.flow_blocked) {
-      channel.flow_blocked = true;
-      owner_.kernel().ObserveFlowEvent(StreamComponent::kServer, owner_.uid(),
-                                       FlowEvent::kHiwatHit);
-    }
-    return true;
-  }
-  if (channel.flow_blocked && depth >= channel.limits.lowat) {
-    return true;  // hysteresis: stay blocked until drained below lowat
-  }
-  channel.flow_blocked = false;
-  return false;
-}
-
-Task<void> StreamServer::Write(std::string_view channel, Value item) {
-  co_await Write(channel, std::move(item), Band::kData);
-}
-
 Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) {
   OutChannel* ch = Find(channel);
   assert(ch != nullptr && "write to undeclared channel");
-  if (ch->sequenced) {
-    band = Band::kData;  // sequenced channels are single-band
-  }
+  band = ch->BandOf(band);
   if (band == Band::kData) {
     // The producer may run ahead of demand by at most `hiwat` items; with
-    // hiwat 0 it proceeds only when a consumer is already waiting. Once
-    // blocked at hiwat it stays blocked until the buffer drains below
-    // lowat. Control writes skip this entirely: they must overtake data.
-    while (!ch->closed && ch->parked.empty() && WriteBlocked(*ch)) {
-      co_await ch->space->Wait();
+    // hiwat 0 (pure §4 laziness) it proceeds only when a consumer is
+    // already waiting. Once blocked at hiwat it stays blocked until the
+    // buffer drains below lowat. Control writes skip this entirely: they
+    // must overtake data.
+    while (!ch->ended() && ch->parked.empty() &&
+           (ch->limits().hiwat == 0 || ch->Throttle())) {
+      co_await ch->Wait();
     }
   }
-  if (ch->closed) {
+  if (ch->ended()) {
     co_return;  // late writes after Close are dropped
   }
   if (!ch->parked.empty()) {
@@ -94,106 +62,84 @@ Task<void> StreamServer::Write(std::string_view channel, Value item, Band band) 
     owner_.kernel().AdoptSpan(ch->parked.front().reply.id());
   }
   owner_.kernel().CountLocalStep();
-  (band == Band::kControl ? ch->control : ch->buffer).push_back(std::move(item));
+  ch->Push(std::move(item), band);
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  owner_.kernel().ObserveQueueDepth(StreamComponent::kServer,
-                                    owner_.uid(), Depth(*ch));
+  ch->ReportDepth();
   Pump(*ch);
 }
 
 bool StreamServer::CanPut(std::string_view channel, Band band) const {
   const OutChannel* ch = Find(channel);
-  if (ch == nullptr || ch->closed) {
+  if (ch == nullptr || ch->ended()) {
     return false;
   }
-  if (band == Band::kControl && !ch->sequenced) {
-    return true;  // control is never subject to flow control
+  // Control is never flow-controlled, and parked demand admits a write
+  // regardless of depth; without demand, pure laziness admits nothing.
+  if (ch->BandOf(band) == Band::kControl || !ch->parked.empty()) {
+    return true;
   }
-  if (!ch->parked.empty()) {
-    return true;  // parked demand admits a write regardless of depth
-  }
-  if (ch->limits.hiwat == 0) {
-    return false;  // pure laziness: no demand, no admission
-  }
-  size_t depth = Depth(*ch);
-  if (depth >= ch->limits.hiwat) {
-    return false;
-  }
-  return !(ch->flow_blocked && depth >= ch->limits.lowat);
+  return ch->limits().hiwat != 0 && ch->Admits();
 }
 
 void StreamServer::PutBack(std::string_view channel, Value item, Band band) {
   OutChannel* ch = Find(channel);
   assert(ch != nullptr && "put-back to undeclared channel");
-  if (ch->sequenced) {
-    band = Band::kData;  // sequenced channels are single-band
-  }
-  (band == Band::kControl ? ch->control : ch->buffer).push_front(std::move(item));
   // The item enters the production buffer for the first time (the owner
   // cannot take items back out of a server buffer), so it counts as
   // produced — conservation must see it before Pump serves it.
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
   }
-  owner_.kernel().ObserveFlowEvent(StreamComponent::kServer,
-                                   owner_.uid(), FlowEvent::kPutBack);
-  owner_.kernel().ObserveQueueDepth(StreamComponent::kServer,
-                                    owner_.uid(), Depth(*ch));
+  ch->PutBack(std::move(item), ch->BandOf(band));
 }
 
 void StreamServer::Close(std::string_view channel) {
   OutChannel* ch = Find(channel);
   assert(ch != nullptr && "close of undeclared channel");
-  if (ch->closed) {
-    return;
+  if (!ch->ended()) {
+    Finish(*ch, Status(StatusCode::kEndOfStream));
   }
-  ch->closed = true;
-  Pump(*ch);
-  ch->space->NotifyAll();
 }
 
 void StreamServer::CloseAll() {
   for (auto& [name, channel] : channels_) {
-    if (!channel.closed) {
-      channel.closed = true;
-      Pump(channel);
-      channel.space->NotifyAll();
+    if (!channel.ended()) {
+      Finish(channel, Status(StatusCode::kEndOfStream));
     }
   }
 }
 
 void StreamServer::AbortAll(Status status) {
   for (auto& [name, channel] : channels_) {
-    channel.closed = true;
-    if (channel.abort_status.ok()) {
-      channel.abort_status = status;
-    }
-    channel.buffer.clear();
-    channel.control.clear();
-    Pump(channel);
-    channel.space->NotifyAll();
+    Finish(channel, status);
   }
+}
+
+void StreamServer::Finish(OutChannel& channel, Status status) {
+  channel.End(std::move(status));
+  Pump(channel);
+  channel.WakeNow();
 }
 
 void StreamServer::Pump(OutChannel& channel) {
   while (!channel.parked.empty()) {
-    if (channel.abort_status.ok()) {
+    if (!channel.failed()) {
       // A request for an already-served position can be answered from the
       // replay window even with an empty buffer.
       const Parked& front = channel.parked.front();
-      bool replayable = channel.sequenced && front.seq >= 0 &&
+      bool replayable = channel.sequenced() && front.seq >= 0 &&
                         static_cast<uint64_t>(front.seq) < channel.next_seq;
-      if (Depth(channel) == 0 && !channel.closed && !replayable) {
+      if (channel.Depth() == 0 && !channel.ended() && !replayable) {
         break;  // nothing to serve yet; keep the vacuum
       }
     }
     Parked request = std::move(channel.parked.front());
     channel.parked.pop_front();
-    if (!channel.abort_status.ok()) {
+    if (channel.failed()) {
       transfers_aborted_++;
-      request.reply.ReplyStatus(channel.abort_status);
+      request.reply.ReplyStatus(channel.status());
       continue;
     }
     // Where this reply starts. Classic requests take the next fresh item; a
@@ -202,7 +148,7 @@ void StreamServer::Pump(OutChannel& channel) {
     // the consumer already has — serve from next_seq and let the consumer
     // discard the duplicate prefix.
     uint64_t pos = channel.next_seq;
-    if (channel.sequenced && request.seq >= 0) {
+    if (channel.sequenced() && request.seq >= 0) {
       uint64_t want = static_cast<uint64_t>(request.seq);
       if (want < channel.replay_base) {
         transfers_served_++;
@@ -216,38 +162,32 @@ void StreamServer::Pump(OutChannel& channel) {
     uint64_t first = pos;
     ValueList items;
     size_t fresh = 0;
-    size_t overtakes = 0;
     bool redelivered = false;
     int64_t take = std::max<int64_t>(request.max, 1);
     while (take-- > 0) {
-      if (!channel.control.empty()) {
-        // Control overtakes: queued control items lead every batch, ahead
-        // of replay and data. (Sequenced channels never queue control.)
-        if (!channel.buffer.empty()) {
-          overtakes++;
-        }
-        items.push_back(std::move(channel.control.front()));
-        channel.control.pop_front();
-        fresh++;
-      } else if (pos < channel.next_seq) {
+      // Queued control items lead every batch, ahead of replay and data.
+      // (Sequenced channels never queue control.)
+      if (channel.Empty(Band::kControl) && pos < channel.next_seq) {
         items.push_back(channel.replay[pos - channel.replay_base]);
         redelivered = true;
         pos++;
-      } else if (!channel.buffer.empty()) {
-        Value item = std::move(channel.buffer.front());
-        channel.buffer.pop_front();
-        if (channel.sequenced) {
-          channel.replay.push_back(item);
-        }
-        items.push_back(std::move(item));
-        channel.next_seq++;
-        fresh++;
-        pos++;
-      } else {
+        continue;
+      }
+      if (channel.Depth() == 0) {
         break;
       }
+      PassiveQueue::Taken taken = channel.Pop();
+      if (taken.band == Band::kData) {
+        if (channel.sequenced()) {
+          channel.replay.push_back(taken.item);
+        }
+        channel.next_seq++;
+        pos++;
+      }
+      items.push_back(std::move(taken.item));
+      fresh++;
     }
-    bool end = channel.closed && Depth(channel) == 0 && pos >= channel.next_seq;
+    bool end = channel.ended() && channel.Depth() == 0 && pos >= channel.next_seq;
     items_delivered_ += fresh;
     transfers_served_++;
     if (InvariantMonitor* mon = owner_.kernel().monitor()) {
@@ -255,7 +195,7 @@ void StreamServer::Pump(OutChannel& channel) {
       if (fresh > 0) {
         mon->OnServed(owner_.uid(), owner_.kernel().now(), fresh);
       }
-      if (channel.sequenced) {
+      if (channel.sequenced()) {
         mon->OnSequence(owner_.uid(), owner_.kernel().now(), "server.next",
                         channel.next_seq);
       }
@@ -263,30 +203,18 @@ void StreamServer::Pump(OutChannel& channel) {
     if (redelivered) {
       owner_.kernel().stats().redeliveries++;
     }
-    if (overtakes > 0) {
-      for (; overtakes > 0; --overtakes) {
-        owner_.kernel().ObserveFlowEvent(StreamComponent::kServer, owner_.uid(),
-                                         FlowEvent::kBandOvertake);
-      }
-    }
-    request.reply.Reply(channel.sequenced
+    request.reply.Reply(channel.sequenced()
                             ? MakeBatchReply(std::move(items), end, first)
                             : MakeBatchReply(std::move(items), end));
   }
-  owner_.kernel().ObserveQueueDepth(StreamComponent::kServer,
-                                    owner_.uid(), Depth(channel));
+  channel.ReportDepth();
   // Back-enable the producer under the lowat rule: closed channels and
   // parked demand always release; a watermarked channel releases only once
-  // drained below lowat (clearing the hysteresis latch). Deferred service
+  // drained below lowat (opening the hysteresis latch). Deferred service
   // coalesces the wakeup to drain time.
-  bool drained = channel.limits.hiwat != 0 && Depth(channel) < channel.limits.lowat;
-  if (drained) {
-    channel.flow_blocked = false;
-  }
-  if (channel.closed || drained || !channel.parked.empty()) {
-    if (channel.space->waiter_count() > 0) {
-      channel.service->Schedule();
-    }
+  bool drained = channel.Drained();
+  if (channel.ended() || drained || !channel.parked.empty()) {
+    channel.Wake();
   }
 }
 
@@ -304,7 +232,7 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
   }
   OutChannel* ch = Find(*name);
   assert(ch != nullptr);
-  if (ch->sequenced && ctx.args().HasField(kFieldAck)) {
+  if (ch->sequenced() && ctx.args().HasField(kFieldAck)) {
     // Positions below the caller's durable mark can never be re-requested.
     uint64_t ack = static_cast<uint64_t>(ctx.Arg(kFieldAck).IntOr(0));
     while (ch->replay_base < ack && !ch->replay.empty()) {
@@ -324,64 +252,15 @@ void StreamServer::HandleTransfer(InvocationContext ctx) {
   Pump(*ch);
 }
 
-void StreamServer::HandleOpenChannel(InvocationContext ctx) {
-  if (channels_locked_) {
-    ctx.ReplyError(StatusCode::kPermissionDenied, "channel table is locked");
-    return;
-  }
-  const std::string* name = ctx.Arg(kFieldName).AsStr();
-  if (name == nullptr || !table_.Contains(*name)) {
-    ctx.ReplyError(StatusCode::kNoSuchChannel, "unknown channel name");
-    return;
-  }
-  std::optional<Uid> capability = table_.MintCapability(*name, owner_.kernel());
-  Value reply;
-  reply.Set(std::string(kFieldChannel), Value(*capability));
-  ctx.Reply(std::move(reply));
-}
-
-size_t StreamServer::buffered(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : Depth(*ch);
-}
-
-FlowLimits StreamServer::limits(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? FlowLimits{} : ch->limits;
-}
-
-size_t StreamServer::parked_requests(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->parked.size();
-}
-
-bool StreamServer::closed(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr || ch->closed;
-}
-
-uint64_t StreamServer::served_seq(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->next_seq;
-}
-
-uint64_t StreamServer::acked(std::string_view channel) const {
-  const OutChannel* ch = Find(channel);
-  return ch == nullptr ? 0 : ch->replay_base;
-}
-
 Value StreamServer::SaveChannels() const {
   ValueMap state;
   for (const auto& [name, ch] : channels_) {
     Value v;
-    v.Set("closed", Value(ch.closed));
+    v.Set("closed", Value(ch.ended()));
     v.Set("next", Value(ch.next_seq));
     v.Set("base", Value(ch.replay_base));
     v.Set("replay", Value(ValueList(ch.replay.begin(), ch.replay.end())));
-    v.Set("buffer", Value(ValueList(ch.buffer.begin(), ch.buffer.end())));
-    if (!ch.control.empty()) {
-      v.Set("control", Value(ValueList(ch.control.begin(), ch.control.end())));
-    }
+    ch.Save(v);
     state.emplace(name, std::move(v));
   }
   return Value(std::move(state));
@@ -397,21 +276,12 @@ void StreamServer::RestoreChannels(const Value& state) {
     if (ch == nullptr) {
       continue;  // channel set is part of the type, not the checkpoint
     }
-    ch->closed = v.Field("closed").BoolOr(false);
+    ch->Restore(v, v.Field("closed").BoolOr(false));
     ch->next_seq = static_cast<uint64_t>(v.Field("next").IntOr(0));
     ch->replay_base = static_cast<uint64_t>(v.Field("base").IntOr(0));
     ch->replay.clear();
-    ch->buffer.clear();
-    ch->control.clear();
-    ch->flow_blocked = false;
     if (const ValueList* replay = v.Field("replay").AsList()) {
       ch->replay.assign(replay->begin(), replay->end());
-    }
-    if (const ValueList* buffer = v.Field("buffer").AsList()) {
-      ch->buffer.assign(buffer->begin(), buffer->end());
-    }
-    if (const ValueList* control = v.Field("control").AsList()) {
-      ch->control.assign(control->begin(), control->end());
     }
   }
 }

@@ -5,25 +5,25 @@
 // that buffer would be shared with a process that receives invocations which
 // request data and services them."
 //
-// This is that library module. The owner Eject's worker processes call
-// Write() (which blocks when the work-ahead buffer is full — or, with
-// hiwat 0, until a consumer actually asks: full laziness); incoming
-// Transfer invocations drain the buffer, parking when it is empty. The
-// parked Transfer requests are §4's "partial vacuum".
+// This is that library module; the buffer is a PassiveQueue, shared with
+// StreamAcceptor. The owner Eject's worker processes call Write() (which
+// blocks when the work-ahead buffer is full — or, with hiwat 0, until a
+// consumer actually asks: full laziness); incoming Transfer invocations
+// drain the buffer, parking when it is empty. The parked Transfer requests
+// are §4's "partial vacuum".
 #ifndef SRC_CORE_STREAM_SERVER_H_
 #define SRC_CORE_STREAM_SERVER_H_
 
 #include <deque>
 #include <functional>
 #include <map>
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "src/core/channel.h"
+#include "src/core/passive_queue.h"
 #include "src/core/stream.h"
 #include "src/eden/eject.h"
-#include "src/eden/sync.h"
 
 namespace eden {
 
@@ -60,13 +60,11 @@ class StreamServer {
 
   // ---- Producer side (owner's coroutines).
   // Blocks until the channel can accept the item (space, or parked demand).
-  // Items written to a closed channel are silently dropped.
-  Task<void> Write(std::string_view channel, Value item);
-  // Writes `item` on the band: control items are exempt from flow control
-  // (never block) and are served ahead of queued data. On a sequenced
-  // channel (single-band: positions define a total order) a control write
-  // degrades to a data write.
-  Task<void> Write(std::string_view channel, Value item, Band band);
+  // Items written to a closed channel are silently dropped. Control items
+  // are exempt from flow control (never block) and are served ahead of
+  // queued data. On a sequenced channel (single-band: positions define a
+  // total order) a control write degrades to a data write.
+  Task<void> Write(std::string_view channel, Value item, Band band = Band::kData);
   // Admission check (STREAMS canput): would a data Write proceed without
   // blocking right now?
   bool CanPut(std::string_view channel, Band band = Band::kData) const;
@@ -91,10 +89,22 @@ class StreamServer {
 
   // ---- Introspection.
   bool HasChannel(std::string_view name) const { return Find(name) != nullptr; }
-  size_t buffered(std::string_view channel) const;
-  size_t parked_requests(std::string_view channel) const;
-  bool closed(std::string_view channel) const;
-  FlowLimits limits(std::string_view channel) const;
+  size_t buffered(std::string_view channel) const {
+    const OutChannel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->Depth();
+  }
+  size_t parked_requests(std::string_view channel) const {
+    const OutChannel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->parked.size();
+  }
+  bool closed(std::string_view channel) const {
+    const OutChannel* ch = Find(channel);
+    return ch == nullptr || ch->ended();
+  }
+  FlowLimits limits(std::string_view channel) const {
+    const OutChannel* ch = Find(channel);
+    return ch == nullptr ? FlowLimits{} : ch->limits();
+  }
   uint64_t items_delivered() const { return items_delivered_; }
   uint64_t transfers_served() const { return transfers_served_; }
   // Transfers answered with an abort status. Counted separately: an aborted
@@ -102,8 +112,14 @@ class StreamServer {
   uint64_t transfers_aborted() const { return transfers_aborted_; }
   // Sequenced channels: position of the next fresh item / the lowest
   // position still held in the replay window.
-  uint64_t served_seq(std::string_view channel) const;
-  uint64_t acked(std::string_view channel) const;
+  uint64_t served_seq(std::string_view channel) const {
+    const OutChannel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->next_seq;
+  }
+  uint64_t acked(std::string_view channel) const {
+    const OutChannel* ch = Find(channel);
+    return ch == nullptr ? 0 : ch->replay_base;
+  }
   ChannelTable& table() { return table_; }
 
   // ---- Recovery support: the dynamic state of every channel (positions,
@@ -125,38 +141,26 @@ class StreamServer {
     int64_t max = 1;
     int64_t seq = -1;  // requested position; -1 = classic (next fresh item)
   };
-  struct OutChannel {
-    std::string name;
-    FlowLimits limits;  // hiwat 0 = pure laziness (block until demand)
-    bool sequenced = false;
-    bool closed = false;
-    // Hysteresis latch: set when the buffer reaches hiwat, cleared only
-    // once it drains below lowat — a blocked producer is woken once per
-    // drain cycle, not once per item.
-    bool flow_blocked = false;
-    Status abort_status;  // non-OK once the stream is aborted
-    std::deque<Value> buffer;   // data band: produced, never served
-    std::deque<Value> control;  // control band: served ahead of data
+  // A channel: the shared queue plus what only a server has, the parked
+  // Transfers and (sequenced channels) the replay window: served but
+  // unacknowledged items at positions [replay_base, next_seq).
+  struct OutChannel : PassiveQueue {
+    OutChannel(Eject& owner, const ChannelOptions& options)
+        : PassiveQueue(owner, StreamComponent::kServer,
+                       FlowLimits::Resolve(options.hiwat, options.lowat),
+                       options.sequenced) {}
     std::deque<Parked> parked;
-    // Sequenced channels: served-but-unacknowledged items occupy positions
-    // [replay_base, next_seq) and are re-served on request.
     std::deque<Value> replay;
     uint64_t replay_base = 0;
     uint64_t next_seq = 0;  // position of the next fresh (unserved) item
-    std::unique_ptr<CondVar> space;  // producer waits here
-    // Deferred service: coalesces producer wakeups to drain time.
-    std::unique_ptr<ServiceProc> service;
   };
 
   void HandleTransfer(InvocationContext ctx);
-  void HandleOpenChannel(InvocationContext ctx);
   // Serves parked requests while items (or the end marker) are available.
   void Pump(OutChannel& channel);
-  // Watermark admission for a data write; maintains the hysteresis latch.
-  bool WriteBlocked(OutChannel& channel);
-  static size_t Depth(const OutChannel& channel) {
-    return channel.buffer.size() + channel.control.size();
-  }
+  // Ends the channel (clean or failed), answers what that settles, wakes
+  // the producer.
+  void Finish(OutChannel& channel, Status status);
 
   OutChannel* Find(std::string_view name);
   const OutChannel* Find(std::string_view name) const;

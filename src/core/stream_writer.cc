@@ -4,23 +4,21 @@
 #include <cstddef>
 #include <string>
 
+#include "src/core/retry.h"
 #include "src/eden/monitor.h"
 
 namespace eden {
 
-namespace {
-bool Retryable(const Status& status) {
-  return status.is(StatusCode::kUnavailable) ||
-         status.is(StatusCode::kDeadlineExceeded);
-}
-}  // namespace
-
-Task<Status> StreamWriter::Send(bool end) {
+Task<Status> StreamWriter::Send(bool end, Status failure) {
   if (options_.sequenced) {
-    co_return co_await SendSequenced(end);
+    return SendSequenced(end, std::move(failure));
   }
   ValueList items;
   items.swap(pending_);
+  return SendItems(std::move(items), end, Band::kData, std::move(failure));
+}
+
+Task<Status> StreamWriter::SendItems(ValueList items, bool end, Band band, Status failure) {
   items_written_ += items.size();
   if (InvariantMonitor* mon = owner_.kernel().monitor()) {
     if (!items.empty()) {
@@ -28,64 +26,56 @@ Task<Status> StreamWriter::Send(bool end) {
       mon->OnPushed(owner_.uid(), sink_, owner_.kernel().now(), items.size());
     }
   }
-  int attempt = 0;
-  for (;;) {
+  // `items` is copied per attempt so a retry resends the same payload.
+  auto make_args = [&] {
     pushes_sent_++;
-    InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush), MakePushArgs(channel_, items, end),
-        options_.deadline);
-    if (!result.ok() && Retryable(result.status) &&
-        attempt < options_.retry_attempts) {
-      attempt++;
-      owner_.kernel().stats().retries++;
-      if (options_.retry_backoff > 0) {
-        co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
-      }
-      continue;
-    }
-    if (attempt > 0 && result.status.ok_or_end()) {
-      owner_.kernel().stats().recoveries++;
-    }
-    status_ = std::move(result.status);
-    co_return status_;
+    Value args = MakePushArgs(channel_, items, end, band);
+    SetPushError(args, failure);
+    return args;
+  };
+  InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush), make_args(),
+                                               options_.deadline);
+  if (!result.ok()) {
+    int attempt = 0;
+    result = co_await Retry(owner_, sink_, kOpPush, make_args, PolicyOf(options_), attempt,
+                            &Status::ok_or_end, std::move(result));
   }
+  status_ = std::move(result.status);
+  co_return status_;
 }
 
-Task<Status> StreamWriter::SendSequenced(bool end) {
-  int attempt = 0;
+Task<Status> StreamWriter::SendSequenced(bool end, Status failure) {
+  int attempt = 0;  // one retry budget across go-back-N rewinds
   for (;;) {
     uint64_t first = cursor_;
     uint64_t total = replay_base_ + replay_.size();
-    ValueList items(replay_.begin() + static_cast<ptrdiff_t>(first - replay_base_),
-                    replay_.end());
-    size_t count = items.size();
-    pushes_sent_++;
-    if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-      // Only positions beyond the transmission high-water mark are fresh; a
-      // rewound resend after a lost push retransmits already-counted items.
-      if (first + count > sent_high_) {
-        mon->OnPushed(owner_.uid(), sink_, owner_.kernel().now(),
-                      first + count - sent_high_);
-      }
-    }
-    sent_high_ = std::max(sent_high_, first + count);
-    InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush),
-        MakePushArgs(channel_, std::move(items), end, first), options_.deadline);
-    if (!result.ok()) {
-      if (Retryable(result.status) && attempt < options_.retry_attempts) {
-        attempt++;
-        owner_.kernel().stats().retries++;
-        if (options_.retry_backoff > 0) {
-          co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
+    uint64_t count = total - first;
+    auto make_args = [&] {
+      pushes_sent_++;
+      if (InvariantMonitor* mon = owner_.kernel().monitor()) {
+        // Only positions beyond the transmission high-water mark are fresh;
+        // a resend retransmits already-counted items.
+        if (first + count > sent_high_) {
+          mon->OnPushed(owner_.uid(), sink_, owner_.kernel().now(), first + count - sent_high_);
         }
-        continue;  // resend the same window
       }
+      sent_high_ = std::max(sent_high_, first + count);
+      Value args = MakePushArgs(
+          channel_,
+          ValueList(replay_.begin() + static_cast<ptrdiff_t>(first - replay_base_), replay_.end()),
+          end, first);
+      SetPushError(args, failure);
+      return args;
+    };
+    InvokeResult result = co_await owner_.Invoke(sink_, std::string(kOpPush), make_args(),
+                                                 options_.deadline);
+    if (!result.ok() || attempt > 0) {
+      result = co_await Retry(owner_, sink_, kOpPush, make_args, PolicyOf(options_), attempt,
+                              &Status::ok, std::move(result));
+    }
+    if (!result.ok()) {
       status_ = std::move(result.status);
       co_return status_;
-    }
-    if (attempt > 0) {
-      owner_.kernel().stats().recoveries++;
     }
     uint64_t next = static_cast<uint64_t>(
         result.value.Field(kFieldNext).IntOr(static_cast<int64_t>(first + count)));
@@ -151,58 +141,17 @@ Task<Status> StreamWriter::WriteControl(Value item) {
   if (options_.sequenced) {
     co_return co_await Write(std::move(item));
   }
-  items_written_++;
-  if (InvariantMonitor* mon = owner_.kernel().monitor()) {
-    mon->OnProduced(owner_.uid(), owner_.kernel().now(), 1);
-    mon->OnPushed(owner_.uid(), sink_, owner_.kernel().now(), 1);
-  }
-  int attempt = 0;
-  for (;;) {
-    pushes_sent_++;
-    // `item` is copied per attempt so a retry resends the same payload.
-    ValueList payload;
-    payload.push_back(item);
-    Value args = MakePushArgs(channel_, std::move(payload), /*end=*/false,
-                              Band::kControl);
-    InvokeResult result = co_await owner_.Invoke(
-        sink_, std::string(kOpPush), std::move(args), options_.deadline);
-    if (!result.ok() && Retryable(result.status) &&
-        attempt < options_.retry_attempts) {
-      attempt++;
-      owner_.kernel().stats().retries++;
-      if (options_.retry_backoff > 0) {
-        co_await owner_.Sleep(options_.retry_backoff << (attempt - 1));
-      }
-      continue;
-    }
-    if (attempt > 0 && result.status.ok_or_end()) {
-      owner_.kernel().stats().recoveries++;
-    }
-    status_ = std::move(result.status);
-    co_return status_;
-  }
+  ValueList items;
+  items.push_back(std::move(item));
+  co_return co_await SendItems(std::move(items), /*end=*/false, Band::kControl, Status());
 }
 
-Task<Status> StreamWriter::Flush() {
-  if (ended_) {
-    co_return status_;
-  }
-  if (options_.sequenced) {
-    if (cursor_ >= replay_base_ + replay_.size()) {
-      co_return status_;
-    }
-  } else if (pending_.empty()) {
-    co_return status_;
-  }
-  co_return co_await Send(/*end=*/false);
-}
-
-Task<Status> StreamWriter::End() {
+Task<Status> StreamWriter::End(Status failure) {
   if (ended_) {
     co_return status_;
   }
   ended_ = true;
-  co_return co_await Send(/*end=*/true);
+  co_return co_await Send(/*end=*/true, std::move(failure));
 }
 
 Value StreamWriter::SaveState() const {

@@ -55,11 +55,11 @@ class StreamWriter {
   // define a total order), so this degrades to a plain Write.
   Task<Status> WriteControl(Value item);
 
-  // Sends any locally queued items now.
-  Task<Status> Flush();
-
-  // Flushes remaining items with the end-of-stream marker. Idempotent.
-  Task<Status> End();
+  // Flushes remaining items with the end-of-stream marker. Idempotent. A
+  // `failure` (a non-OK, non-end status: the writer's own input failed)
+  // rides on the end marker, so the receiver ends with it instead of a
+  // clean end-of-stream.
+  Task<Status> End(Status failure = Status());
 
   const Status& status() const { return status_; }
   uint64_t items_written() const { return items_written_; }
@@ -76,8 +76,12 @@ class StreamWriter {
   void RestoreState(const Value& state);
 
  private:
-  Task<Status> Send(bool end);
-  Task<Status> SendSequenced(bool end);
+  // Sends what is pending: SendItems, or SendSequenced on a sequenced
+  // channel. A `failure` rides on a final (end) push.
+  Task<Status> Send(bool end, Status failure = Status());
+  // Classic mode: pushes `items` on `band`, retrying per the options.
+  Task<Status> SendItems(ValueList items, bool end, Band band, Status failure);
+  Task<Status> SendSequenced(bool end, Status failure);
 
   Eject& owner_;
   Uid sink_;

@@ -7,6 +7,7 @@
 
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/endpoints.h"
@@ -183,6 +184,34 @@ TEST(AcceptorFlowTest, EndReleasesWithheldRepliesImmediately) {
   EXPECT_EQ(sink.acceptor.buffered(kChanIn), 3u);
 }
 
+// A final Push carrying `error` ends the stream with that status and drops
+// what is still queued, so the consumer learns of the failure at once; a
+// code that names no failure reads as INTERNAL.
+TEST(AcceptorFlowTest, ErrorEndFailsTheStream) {
+  for (int64_t code : {static_cast<int64_t>(StatusCode::kNoSuchEject), int64_t{999}}) {
+    Kernel kernel;
+    ManualSink& sink = kernel.CreateLocal<ManualSink>();
+    int acked = 0;
+    PushOne(kernel, sink, Value("d0"), acked);
+    kernel.Run();
+    EXPECT_TRUE(sink.acceptor.status(kChanIn).ok());
+    Value args = MakePushArgs(Value(std::string(kChanIn)), {Value("d1")}, /*end=*/true);
+    args.Set(std::string(kFieldError), Value(code));
+    kernel.ExternalInvoke(sink.uid(), "Push", std::move(args), [&acked](InvokeResult r) {
+      EXPECT_TRUE(r.ok());
+      acked++;
+    });
+    kernel.Run();
+    EXPECT_EQ(acked, 2);
+    EXPECT_TRUE(sink.acceptor.ended(kChanIn));
+    sink.TakeOne();
+    kernel.Run();
+    EXPECT_TRUE(sink.taken.empty());
+    EXPECT_EQ(sink.acceptor.status(kChanIn).code(),
+              code == 999 ? StatusCode::kInternal : StatusCode::kNoSuchEject);
+  }
+}
+
 TEST(AcceptorFlowTest, ControlBandIsNeverWithheldAndOvertakes) {
   Kernel kernel;
   MetricsRegistry metrics;
@@ -290,7 +319,8 @@ class ManualSource : public Eject {
   }
 
   void ProduceUpTo(int n) { Spawn(Loop(n)); }
-  void ProduceControl(Value item) { Spawn(OneControl(std::move(item))); }
+  void Produce(Value item, Band band) { Spawn(One(std::move(item), band)); }
+  void ProduceControl(Value item) { Produce(std::move(item), Band::kControl); }
 
   int written = 0;
   StreamServer server;
@@ -303,8 +333,8 @@ class ManualSource : public Eject {
     }
     server.Close(std::string(kChanOut));
   }
-  Task<void> OneControl(Value item) {
-    co_await server.Write(kChanOut, std::move(item), Band::kControl);
+  Task<void> One(Value item, Band band) {
+    co_await server.Write(kChanOut, std::move(item), band);
   }
 };
 
@@ -402,6 +432,93 @@ TEST(ServerFlowTest, PutBackRestoresTheFrontOfTheBand) {
   EXPECT_EQ((*items)[0].IntOr(0), -1);  // the put-back item leads
   EXPECT_EQ((*items)[1].IntOr(-1), 0);
 }
+
+// ----------------------------------------------- passive-end checkpoints
+
+enum class PassiveEnd { kServer, kAcceptor };
+
+class PassiveCheckpointTest : public ::testing::TestWithParam<PassiveEnd> {};
+
+// Data d0, d1, d2 and then control c0, c1 queued on one passive end are
+// checkpointed and restored into a fresh Eject of the same kind: both bands
+// come back in order, and the restored control items still overtake the
+// restored data.
+TEST_P(PassiveCheckpointTest, RestoresBothBandsAndControlStillOvertakes) {
+  Kernel kernel;
+  MetricsRegistry metrics;
+  kernel.set_metrics(&metrics);
+  const bool server = GetParam() == PassiveEnd::kServer;
+  std::vector<std::pair<Value, Band>> queued = {
+      {Value("d0"), Band::kData},    {Value("d1"), Band::kData},
+      {Value("d2"), Band::kData},    {Value("c0"), Band::kControl},
+      {Value("c1"), Band::kControl},
+  };
+  Value saved;
+  Uid restored;
+  std::vector<std::string> drained;
+  if (server) {
+    StreamServer::ChannelOptions options;
+    options.hiwat = 8;
+    ManualSource& original = kernel.CreateLocal<ManualSource>(options);
+    for (auto& [item, band] : queued) {
+      original.Produce(item, band);
+    }
+    kernel.Run();
+    saved = original.server.SaveChannels();
+    ManualSource& fresh = kernel.CreateLocal<ManualSource>(options);
+    fresh.server.RestoreChannels(saved);
+    EXPECT_EQ(fresh.server.buffered(kChanOut), 5u);
+    EXPECT_FALSE(fresh.server.closed(kChanOut));
+    InvokeResult r = TransferN(kernel, fresh, 5);
+    ASSERT_TRUE(r.ok());
+    const ValueList* items = r.value.Field(kFieldItems).AsList();
+    ASSERT_NE(items, nullptr);
+    for (const Value& item : *items) {
+      drained.push_back(item.StrOr(""));
+    }
+    restored = fresh.uid();
+  } else {
+    StreamAcceptor::ChannelOptions options;
+    options.hiwat = 16;
+    ManualSink& original = kernel.CreateLocal<ManualSink>(options);
+    int acked = 0;
+    for (auto& [item, band] : queued) {
+      PushOne(kernel, original, item, acked, band);
+    }
+    kernel.Run();
+    saved = original.acceptor.SaveChannels();
+    ManualSink& fresh = kernel.CreateLocal<ManualSink>(options);
+    fresh.acceptor.RestoreChannels(saved);
+    EXPECT_EQ(fresh.acceptor.buffered(kChanIn), 5u);
+    for (size_t i = 0; i < queued.size(); ++i) {
+      fresh.TakeOne();
+    }
+    kernel.Run();
+    for (const StreamAcceptor::Taken& taken : fresh.taken) {
+      EXPECT_EQ(taken.band, taken.item.StrOr("")[0] == 'c' ? Band::kControl : Band::kData);
+      drained.push_back(taken.item.StrOr(""));
+    }
+    restored = fresh.uid();
+  }
+  // The checkpoint holds each band under its own key.
+  const Value& channel = saved.Field(server ? kChanOut : kChanIn);
+  ASSERT_NE(channel.Field("buffer").AsList(), nullptr);
+  ASSERT_NE(channel.Field("control").AsList(), nullptr);
+  EXPECT_EQ(channel.Field("buffer").AsList()->size(), 3u);
+  EXPECT_EQ(channel.Field("control").AsList()->size(), 2u);
+  EXPECT_EQ(drained, (std::vector<std::string>{"c0", "c1", "d0", "d1", "d2"}));
+  const MetricsRegistry::FlowCounters* flow =
+      metrics.FlowFor(server ? "server" : "acceptor", restored);
+  ASSERT_NE(flow, nullptr);
+  EXPECT_EQ(flow->band_overtakes, 2u);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothEnds, PassiveCheckpointTest,
+                         ::testing::Values(PassiveEnd::kServer, PassiveEnd::kAcceptor),
+                         [](const ::testing::TestParamInfo<PassiveEnd>& info) {
+                           return info.param == PassiveEnd::kServer ? "server"
+                                                                    : "acceptor";
+                         });
 
 // ------------------------------------------------------------- ServiceProc
 

@@ -3,6 +3,10 @@
 // working together.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "src/core/endpoints.h"
 #include "src/core/filter_eject.h"
 #include "src/core/passive_buffer.h"
@@ -99,23 +103,40 @@ TEST(FigureTest, Figure4ReadOnlyWithChannelIdentifiers) {
   EXPECT_EQ(kernel.stats().ejects_created, 5u);
 }
 
-// A filter crash mid-stream surfaces at the sink as a failed stream, not a
-// hang.
+// A crash mid-stream surfaces at the sink as a failed stream, not a hang and
+// not a clean end over a truncated stream, in each discipline a crash can
+// reach: the last filter reads from the crashed Eject and ends its output
+// with the failure — a server aborts its channel, a writer sends the failure
+// on its end marker and the pipe after it aborts in turn. (Write-only is out
+// of reach: downstream of a crashed write-only filter every stage is a
+// passive input that waits to be invoked, so none of them can learn of it.)
 TEST(FailureTest, FilterCrashTerminatesPipeline) {
-  Kernel kernel;
-  PipelineOptions options;
-  options.work_ahead = 1;
-  PipelineHandle handle =
-      BuildPipeline(kernel, NumberedLines(100),
-                    {*MakeTransformByName("copy", {}),
-                     *MakeTransformByName("copy", {})},
-                    options);
-  kernel.RunUntil([&] { return handle.output().size() >= 5; });
-  kernel.Crash(handle.ejects[1]);  // first filter
-  kernel.RunUntil([&] { return handle.done(); });
-  ASSERT_TRUE(handle.done());
-  EXPECT_FALSE(handle.pull_sink->stream_status().ok_or_end());
-  EXPECT_LT(handle.output().size(), 100u);
+  // Discipline, and the Eject the last filter reads from.
+  const std::pair<Discipline, std::string> cases[] = {
+      {Discipline::kReadOnly, "filter1"},
+      {Discipline::kConventional, "pipe1"},
+  };
+  for (const auto& [discipline, crashed] : cases) {
+    SCOPED_TRACE(DisciplineName(discipline));
+    Kernel kernel;
+    PipelineOptions options;
+    options.discipline = discipline;
+    options.work_ahead = 1;
+    PipelineHandle handle =
+        BuildPipeline(kernel, NumberedLines(100),
+                      {*MakeTransformByName("copy", {}),
+                       *MakeTransformByName("copy", {})},
+                      options);
+    auto at = std::find(handle.stage_names.begin(), handle.stage_names.end(), crashed);
+    ASSERT_NE(at, handle.stage_names.end());
+    kernel.RunUntil([&] { return handle.output().size() >= 5; });
+    kernel.Crash(handle.ejects[static_cast<size_t>(at - handle.stage_names.begin())]);
+    kernel.RunUntil([&] { return handle.done(); });
+    ASSERT_TRUE(handle.done());
+    EXPECT_FALSE(handle.pull_sink->stream_status().ok_or_end())
+        << handle.pull_sink->stream_status();
+    EXPECT_LT(handle.output().size(), 100u);
+  }
 }
 
 // A crashed-but-checkpointed FILE reactivates transparently mid-pipeline:

@@ -422,25 +422,6 @@ TEST(PipelinePlanTest, ASC009CatchesBadWatermarkKnobs) {
   EXPECT_EQ(kernel.stats().ejects_created, 0u);
 }
 
-TEST(PipelinePlanTest, DescribePipelineMatchesAsBuilt) {
-  Kernel kernel;
-  PipelineOptions options = OptionsFor(Discipline::kConventional);
-  std::vector<TransformFactory> stages = {Copy(), Copy()};
-  ValueList input = {Value("a"), Value("b")};
-  PipelineHandle handle = BuildPipeline(kernel, input, stages, options);
-  kernel.Run();
-  ASSERT_TRUE(handle.done());
-
-  verify::TopologySpec spec = DescribePipeline(handle, options);
-  ASSERT_EQ(spec.stages.size(), handle.ejects.size());
-  for (size_t i = 0; i < spec.stages.size(); ++i) {
-    EXPECT_EQ(spec.stages[i].uid, handle.ejects[i]);
-    EXPECT_EQ(spec.stages[i].name, handle.stage_names[i]);
-  }
-  LintReport report = PipelineLinter().Lint(spec);
-  EXPECT_TRUE(report.ok()) << report.ToString();
-}
-
 TEST(PipelinePlanTest, PlanNamesMatchBuiltStageNames) {
   for (Discipline d : {Discipline::kReadOnly, Discipline::kWriteOnly,
                        Discipline::kConventional}) {
